@@ -27,7 +27,6 @@ from .graph import (
 from .iterated import pseudofractal_metrics
 from .metrics import compute_metrics
 from .spectral import eigendecompose, lift_spectrum
-from .transfer import GraphSummary, NewNode, OldNode, transfer_hitting, transfer_resistance
 from .triangulation import predicted_counts, q_triangulate
 
 EXIT_OK = 0
@@ -58,11 +57,6 @@ def _load_graph(args):
 
 def _f12(x) -> str:
     return f"{float(x):.12g}"
-
-
-def _f17(x) -> float:
-    # floats survive JSON round-trips exactly at 17 significant digits
-    return float(f"{float(x):.17g}")
 
 
 # ---- subcommands ------------------------------------------------------
@@ -96,17 +90,17 @@ def cmd_metrics(args, out) -> int:
             "n": g.n,
             "m": g.m,
             "routes": {},
-            "max_route_deviation": _f17(max_dev),
-            "foster_edge_sum": _f17(foster),
+            "max_route_deviation": float(max_dev),
+            "foster_edge_sum": float(foster),
         }
         for rep in (spectral_report, oracle_report):
             payload["routes"][rep.route] = {
-                "kemeny": _f17(rep.kemeny),
-                "kirchhoff": _f17(rep.kirchhoff),
-                "additive": _f17(rep.additive),
-                "multiplicative": _f17(rep.multiplicative),
-                "hitting": [[_f17(x) for x in row] for row in rep.hitting],
-                "resistance": [[_f17(x) for x in row] for row in rep.resistance],
+                "kemeny": rep.kemeny,
+                "kirchhoff": rep.kirchhoff,
+                "additive": rep.additive,
+                "multiplicative": rep.multiplicative,
+                "hitting": rep.hitting.tolist(),
+                "resistance": rep.resistance.tolist(),
             }
         json.dump(payload, out, indent=2)
         out.write("\n")
@@ -139,12 +133,12 @@ def cmd_spectrum(args, out) -> int:
     if args.q:
         lifted = lift_spectrum(spec, g, args.q)
         payload = {
-            "eigenvalues": [_f17(x) for x in lifted.spectrum.eigenvalues],
+            "eigenvalues": lifted.spectrum.eigenvalues.tolist(),
             "branch": list(lifted.branches),
         }
     else:
         payload = {
-            "eigenvalues": [_f17(x) for x in spec.eigenvalues],
+            "eigenvalues": spec.eigenvalues.tolist(),
             "branch": ["input"] * g.n,
         }
     json.dump(payload, out, indent=2)
@@ -153,50 +147,11 @@ def cmd_spectrum(args, out) -> int:
 
 
 def cmd_transfer(args, out) -> int:
-    g = _load_graph(args)
-    q = args.q
-    summ = GraphSummary.from_graph(g)
-    tri = q_triangulate(g, q)
-    r = tri.result
-    from .metrics import hitting_oracle, kirchhoff_indices, resistance_oracle
-
-    hit = hitting_oracle(r)
-    res = resistance_oracle(r)
-    pi = r.stationary_distribution()
-    kir, add, mul = kirchhoff_indices(r, res)
-
-    from . import transfer as tr
-
-    rows = [
-        ("kemeny", tr.transfer_kemeny(q, summ), float(hit[0, :] @ pi)),
-        ("kirchhoff", tr.transfer_kirchhoff(q, summ), kir),
-        ("additive", tr.transfer_additive(q, summ), add),
-        ("multiplicative", tr.transfer_multiplicative(q, summ), mul),
-        ("cross-sum", tr.new_old_resistance_sum(q, summ), res[g.n:, :g.n].sum()),
-        ("new-pair-sum", tr.new_pair_resistance_sum(q, summ),
-         float(np.triu(res[g.n:, g.n:], 1).sum())),
-    ]
-    s, t = g.edges[0]
-    x1 = tri.new_node_index(1, 1)
-    j = 2 if g.n >= 2 else 1
-    rows.append(("hit old->old" if g.n >= 2 else "n/a",
-                 transfer_hitting(q, summ, OldNode(1), OldNode(j)), hit[0, j - 1]))
-    rows.append(("hit new->old",
-                 transfer_hitting(q, summ, NewNode(s, t), OldNode(j)),
-                 hit[x1 - 1, j - 1]))
-    rows.append(("hit old->new",
-                 transfer_hitting(q, summ, OldNode(j), NewNode(s, t)),
-                 hit[j - 1, x1 - 1]))
-    rows.append(("res new->old",
-                 transfer_resistance(q, summ, NewNode(s, t), OldNode(j)),
-                 res[x1 - 1, j - 1]))
-    out.write(f"{'quantity':<16}{'transfer':>20}{'oracle':>20}{'|dev|':>12}\n")
-    worst = 0.0
-    for name, got, want in rows:
-        dev = abs(float(got) - float(want))
-        worst = max(worst, dev)
-        out.write(f"{name:<16}{_f12(got):>20}{_f12(want):>20}{dev:>12.3e}\n")
-    out.write(f"max |deviation|: {worst:.3e}\n")
+    checks = verify.transfer_checks(_load_graph(args), args.q)
+    out.write(f"{'quantity':<20}{'transfer':>20}{'oracle':>20}{'|rel dev|':>12}\n")
+    for c in checks:
+        out.write(f"{c.kind:<20}{_f12(c.got):>20}{_f12(c.want):>20}{c.deviation:>12.3e}\n")
+    out.write(f"max |deviation| (relative): {max(c.deviation for c in checks):.3e}\n")
     return EXIT_OK
 
 
@@ -224,16 +179,20 @@ def cmd_verify(args, out) -> int:
 def cmd_pseudofractal(args, out) -> int:
     rows = []
     for k in range(args.kmax + 1):
-        n_qk, m_qk = predicted_counts(3, 3, args.q, k)
-        kem, mul, add, kir = pseudofractal_metrics(args.q, k)
-        rows.append((k, n_qk, m_qk, kem, mul, add, kir))
+        try:
+            values = [float(x) for x in pseudofractal_metrics(args.q, k)]
+        except OverflowError:
+            raise CliInputError(
+                f"values at k={k} exceed the float range; use --kmax {k - 1} or less"
+            ) from None
+        rows.append((k, *predicted_counts(3, 3, args.q, k), *values))
     header = ("k", "n", "m", "kemeny", "multiplicative", "additive", "kirchhoff")
     if args.format == "json":
         payload = [
             {
                 "k": k, "n": n, "m": m,
-                "kemeny": _f17(kem), "multiplicative": _f17(mul),
-                "additive": _f17(add), "kirchhoff": _f17(kir),
+                "kemeny": kem, "multiplicative": mul,
+                "additive": add, "kirchhoff": kir,
             }
             for k, n, m, kem, mul, add, kir in rows
         ]

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all modules."""
+"""Exception hierarchy shared by all modules, and the q validator."""
 
 
 class TrispectraError(Exception):
@@ -27,6 +27,12 @@ class DisconnectedError(GraphError):
 
 class InvalidQError(TrispectraError):
     """q-triangulation parameter must be a positive integer."""
+
+
+def check_q(q) -> None:
+    """Raise InvalidQError unless q is a positive int (bools are not)."""
+    if isinstance(q, bool) or not isinstance(q, int) or q < 1:
+        raise InvalidQError(f"q must be a positive integer, got {q!r}")
 
 
 class SameNodeError(TrispectraError):

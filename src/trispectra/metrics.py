@@ -33,10 +33,6 @@ class MetricsReport:
     multiplicative: float
     route: str                 # "spectral" | "oracle"
 
-    def resistance_row_sums(self) -> np.ndarray:
-        """r_s = sum_j r_sj for each node s."""
-        return self.resistance.sum(axis=1)
-
 
 # ---- oracle route -----------------------------------------------------
 
@@ -73,9 +69,13 @@ def hitting_oracle(g: Graph) -> np.ndarray:
 
 def resistance_oracle(g: Graph) -> np.ndarray:
     """Resistance matrix via the Laplacian pseudoinverse:
-    r_ij = (e_i - e_j)^T L^+ (e_i - e_j)."""
+    r_ij = (e_i - e_j)^T L^+ (e_i - e_j), with L^+ = (L + J/n)^{-1} - J/n
+    (L + J/n is regular on a connected graph)."""
     lap = (g.degree_matrix() - g.adjacency_matrix()).astype(float)
-    lp = np.linalg.pinv(lap, hermitian=True)
+    try:
+        lp = np.linalg.inv(lap + 1.0 / g.n) - 1.0 / g.n
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystemError("Laplacian plus J/n is singular") from exc
     diag = np.diag(lp)
     r = diag[:, None] + diag[None, :] - 2.0 * lp
     np.fill_diagonal(r, 0.0)

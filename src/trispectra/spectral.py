@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceFailure, InvalidQError
+from .errors import ConvergenceFailure, InvalidQError, check_q
 from .graph import Graph, is_bipartite
 
 #: singular values below RANK_CUTOFF * sigma_max count as zero; B has
@@ -91,8 +91,7 @@ def kernel_basis(g: Graph, q: int) -> np.ndarray:
     dim equals m*q - rank(B): m*q - n for non-bipartite G, m*q - n + 1
     for bipartite G.
     """
-    if q < 1:
-        raise InvalidQError(f"q must be >= 1, got {q}")
+    check_q(q)
     b = g.incidence_matrix().astype(float)
     c = np.hstack([b] * q)
     try:
@@ -118,8 +117,7 @@ def lift_spectrum(spec: Spectrum, g: Graph, q: int) -> LiftedSpectrum:
     of sqrt(2(q+1)) / (lambda +- sqrt(Delta)) * B^T D^{-1/2} v, the whole
     vector normalized by sqrt(1/2 +- lambda / (2 sqrt(Delta))).
     """
-    if q < 1:
-        raise InvalidQError(f"q must be >= 1, got {q}")
+    check_q(q)
     n, m = g.n, g.m
     nt = n + m * q
     bipartite, _ = is_bipartite(g)

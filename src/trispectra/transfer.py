@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidNodeRefError, InvalidQError, SameNodeError
+from .errors import InvalidNodeRefError, SameNodeError, check_q
 
 
 @dataclass(frozen=True)
@@ -77,11 +77,6 @@ class NewNode:
         return (min(self.s, self.t), max(self.s, self.t))
 
 
-def _check_q(q) -> None:
-    if not isinstance(q, int) or q < 1:
-        raise InvalidQError(f"q must be a positive integer, got {q!r}")
-
-
 def _validate_ref(summary: GraphSummary, ref) -> None:
     if isinstance(ref, OldNode):
         if not (1 <= ref.i <= summary.n):
@@ -120,7 +115,7 @@ def transfer_hitting(q: int, summary: GraphSummary, a, b):
                          + (2q+1)/(2(q+2)) [T_su + T_tu + T_sv + T_tv
                                             - (T_uv + T_vu)]
     """
-    _check_q(q)
+    check_q(q)
     _validate_ref(summary, a)
     _validate_ref(summary, b)
     if _same_ref(a, b):
@@ -164,7 +159,7 @@ def transfer_resistance(q: int, summary: GraphSummary, a, b):
       new{s,t}/new{u,v}: 1 + (r_su + r_tu + r_sv + r_tv - r_uv - r_st)
                              / (2(q+2))
     """
-    _check_q(q)
+    check_q(q)
     _validate_ref(summary, a)
     _validate_ref(summary, b)
     if _same_ref(a, b):
@@ -197,7 +192,7 @@ def transfer_resistance(q: int, summary: GraphSummary, a, b):
 
 def transfer_kemeny(q: int, summary: GraphSummary):
     """Kemeny's constant of R_q(G)."""
-    _check_q(q)
+    check_q(q)
     n, m = summary.n, summary.m
     return (
         Fraction(4 * q + 2, q + 2) * summary.kemeny
@@ -209,7 +204,7 @@ def transfer_kemeny(q: int, summary: GraphSummary):
 
 def transfer_multiplicative(q: int, summary: GraphSummary):
     """Multiplicative degree-Kirchhoff index of R_q(G)."""
-    _check_q(q)
+    check_q(q)
     n, m = summary.n, summary.m
     return Fraction(2 * (2 * q + 1) ** 2, q + 2) * summary.multiplicative + 2 * m * (
         Fraction(q * q + (4 * n - 1) * q + 2 * n, q + 2)
@@ -219,7 +214,7 @@ def transfer_multiplicative(q: int, summary: GraphSummary):
 
 def transfer_additive(q: int, summary: GraphSummary):
     """Additive degree-Kirchhoff index of R_q(G)."""
-    _check_q(q)
+    check_q(q)
     n, m = summary.n, summary.m
     return (
         Fraction(2 * (2 * q + 1), q + 2) * summary.additive
@@ -232,7 +227,7 @@ def transfer_additive(q: int, summary: GraphSummary):
 
 def transfer_kirchhoff(q: int, summary: GraphSummary):
     """Kirchhoff index of R_q(G)."""
-    _check_q(q)
+    check_q(q)
     n, m = summary.n, summary.m
     return (
         Fraction(2, q + 2) * summary.kirchhoff
@@ -245,7 +240,7 @@ def transfer_kirchhoff(q: int, summary: GraphSummary):
 
 def new_old_resistance_sum(q: int, summary: GraphSummary):
     """Sum of resistances over (new node, old node) pairs in R_q(G)."""
-    _check_q(q)
+    check_q(q)
     n, m = summary.n, summary.m
     return (
         Fraction(q, q + 2) * summary.additive
@@ -256,7 +251,7 @@ def new_old_resistance_sum(q: int, summary: GraphSummary):
 
 def new_pair_resistance_sum(q: int, summary: GraphSummary):
     """Sum of resistances over unordered pairs of new nodes in R_q(G)."""
-    _check_q(q)
+    check_q(q)
     n, m = summary.n, summary.m
     return (
         Fraction(q * q, 2 * (q + 2)) * summary.multiplicative
@@ -267,7 +262,7 @@ def new_pair_resistance_sum(q: int, summary: GraphSummary):
 
 def transferred_summary(q: int, summary: GraphSummary) -> GraphSummary:
     """Scalar summary of R_q(G), for chaining single-step transfers."""
-    _check_q(q)
+    check_q(q)
     return GraphSummary(
         n=summary.n + summary.m * q,
         m=summary.m * (2 * q + 1),

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidQError
+from .errors import InvalidQError, check_q
 from .graph import Graph, build_graph
 
 
@@ -36,35 +36,16 @@ class TriangulationResult:
     provenance: dict
 
     @property
-    def old_nodes(self) -> range:
-        return range(1, self.base.n + 1)
-
-    @property
     def new_nodes(self) -> range:
         return range(self.base.n + 1, self.base.n + self.base.m * self.q + 1)
-
-    def layer(self, f: int) -> range:
-        """New-node layer V^(f), f in 1..q."""
-        n, m = self.base.n, self.base.m
-        return range(n + (f - 1) * m + 1, n + f * m + 1)
 
     def new_node_index(self, edge: int, copy: int) -> int:
         return self.base.n + (copy - 1) * self.base.m + edge
 
-    def generator_endpoints(self, new_node: int):
-        """The two old neighbors {s, t} of a new node."""
-        edge, _ = self.provenance[new_node]
-        return self.base.edges[edge - 1]
-
-
-def _check_q(q) -> None:
-    if not isinstance(q, int) or q < 1:
-        raise InvalidQError(f"q must be a positive integer, got {q!r}")
-
 
 def q_triangulate(g: Graph, q: int) -> TriangulationResult:
     """Construct R_q(G)."""
-    _check_q(q)
+    check_q(q)
     n, m = g.n, g.m
     edges = list(g.edges)
     provenance = {}
@@ -80,7 +61,7 @@ def q_triangulate(g: Graph, q: int) -> TriangulationResult:
 
 def iterate_triangulation(g: Graph, q: int, k: int) -> list:
     """Apply q-triangulation k times; element j is R_{q,j+1}(G)."""
-    _check_q(q)
+    check_q(q)
     if k < 0:
         raise InvalidQError(f"iteration count must be >= 0, got {k}")
     out = []
@@ -98,7 +79,7 @@ def predicted_counts(n: int, m: int, q: int, k: int):
     m_{q,k} = (2q+1)^k m and n_{q,k} = m[(2q+1)^k - 1]/2 + n; the second
     is integral because (2q+1)^k - 1 is even.
     """
-    _check_q(q)
+    check_q(q)
     if k < 0:
         raise InvalidQError(f"iteration count must be >= 0, got {k}")
     growth = (2 * q + 1) ** k

@@ -1,15 +1,18 @@
 """Cross-module verification suites.
 
 Each suite pits a closed-form route against an independent oracle on a
-seeded corpus of random connected graphs and reports the worst observed
-deviation.  The CLI `verify` subcommand and the mutation-sanity tests
-both drive these functions; they look the closed forms up through their
-modules at call time, so a patched (deliberately broken) formula is
-picked up and flagged.
+seeded corpus of random connected graphs.  Every comparison is one
+:class:`Check` record, and a :class:`SuiteResult` derives its count,
+worst deviation and reproducer from its checks.  The CLI `verify` and
+`transfer` subcommands and the mutation-sanity tests drive these
+functions; they look the closed forms up through their modules at call
+time, so a patched (deliberately broken) formula is picked up and
+flagged.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import iterated, metrics, spectral, transfer
-from .graph import Graph, build_graph, is_bipartite
+from .graph import Graph, build_graph, complete_graph, is_bipartite, path_graph
 from .triangulation import q_triangulate
 
 DEFAULT_TOLERANCES = {
@@ -31,25 +34,68 @@ DEFAULT_TOLERANCES = {
 _ENV_PREFIX = "TRISPECTRA_TOL_"
 
 
-def tolerances(overrides: dict = None) -> dict:
-    """Defaults, overridden by TRISPECTRA_TOL_* env vars, then by args."""
+def tolerances() -> dict:
+    """Defaults, overridden by TRISPECTRA_TOL_* env vars."""
     tol = dict(DEFAULT_TOLERANCES)
     for key in tol:
         env = os.environ.get(_ENV_PREFIX + key.upper())
         if env is not None:
             tol[key] = float(env)
-    if overrides:
-        tol.update(overrides)
     return tol
 
 
-@dataclass
+@dataclass(frozen=True)
+class Check:
+    """One computed value against its reference.
+
+    ``case`` is the (graph, q) or (graph, q, k) the check ran on; it is
+    formatted only when the check is reported as a suite's worst.
+    """
+
+    kind: str
+    got: object
+    want: object
+    case: tuple
+
+    @property
+    def deviation(self) -> float:
+        """|got - want| / max(1, |want|); exact Fraction pairs deviate by
+        0 when equal and by inf otherwise, and NaN counts as inf."""
+        if isinstance(self.got, Fraction) and isinstance(self.want, Fraction):
+            return 0.0 if self.got == self.want else math.inf
+        want = float(self.want)
+        dev = abs(float(self.got) - want) / max(1.0, abs(want))
+        return math.inf if math.isnan(dev) else dev
+
+    def reproducer(self) -> str:
+        g, q, *k = self.case
+        at = f" k={k[0]}" if k else ""
+        return f"{self.kind} on n={g.n} m={g.m} q={q}{at} edges={list(g.edges)}"
+
+
+@dataclass(frozen=True)
 class SuiteResult:
     name: str
-    max_deviation: float
     tolerance: float
-    cases: int
-    worst_case: str
+    checks: list
+
+    @property
+    def cases(self) -> int:
+        return len(self.checks)
+
+    @property
+    def _worst(self):
+        return max(self.checks, key=lambda c: c.deviation, default=None)
+
+    @property
+    def max_deviation(self) -> float:
+        worst = self._worst
+        return worst.deviation if worst else 0.0
+
+    @property
+    def worst_case(self) -> str:
+        worst = self._worst
+        return worst.reproducer() if worst else ""
 
     @property
     def passed(self) -> bool:
@@ -102,142 +148,90 @@ def make_corpus(seed: int, trials: int, nmax: int, qmax: int,
 
 
 def suite_spectrum_lift(cases, tol_eig: float, tol_resid: float):
-    """Lifted spectrum vs direct eigendecomposition of constructed R_q(G)."""
-    worst = 0.0
-    worst_case = ""
-    count = 0
-    resid_scaled = 0.0
+    """Lifted spectrum vs direct eigendecomposition of constructed R_q(G).
+
+    The lifted eigenvectors' residual is its own check, scaled by
+    tol_eig / (tol_resid * N) so that it is gated on the eigenvalue scale.
+    """
+    checks = []
     for g, q in cases:
         spec = spectral.eigendecompose(g)
-        lifted = spectral.lift_spectrum(spec, g, q)
+        lifted = spectral.lift_spectrum(spec, g, q).spectrum
         r = q_triangulate(g, q).result
         direct = spectral.eigendecompose(r)
-        dev = float(
-            np.abs(
-                np.sort(lifted.spectrum.eigenvalues) - np.sort(direct.eigenvalues)
-            ).max()
-        )
-        p = r.normalized_adjacency()
-        u = lifted.spectrum.eigenvectors
-        resid = float(
-            np.linalg.norm(p @ u - u * lifted.spectrum.eigenvalues, axis=0).max()
-        )
-        resid_scaled = max(resid_scaled, resid / (tol_resid * r.n) * tol_eig)
-        count += 1
-        if dev > worst:
-            worst = dev
-            worst_case = f"n={g.n} m={g.m} q={q} edges={list(g.edges)}"
-    # fold the residual criterion into the same scale as the multiset one
-    if resid_scaled > worst:
-        worst = resid_scaled
-        worst_case = "(eigenvector residual bound)"
-    return SuiteResult("spectrum-lift", worst, tol_eig, count, worst_case)
+        gap = np.abs(np.sort(lifted.eigenvalues) - np.sort(direct.eigenvalues)).max()
+        u = lifted.eigenvectors
+        resid = np.linalg.norm(
+            r.normalized_adjacency() @ u - u * lifted.eigenvalues, axis=0
+        ).max()
+        checks += [
+            Check("eigenvalue multiset", gap, 0.0, (g, q)),
+            Check("eigenvector residual", resid / (tol_resid * r.n) * tol_eig, 0.0, (g, q)),
+        ]
+    return SuiteResult("spectrum-lift", tol_eig, checks)
 
 
-def _relerr(got, want) -> float:
-    return abs(float(got) - float(want)) / max(1.0, abs(float(want)))
-
-
-def suite_transfer(cases, tol: float):
+def transfer_checks(g: Graph, q: int) -> list:
     """Every transfer formula vs the oracle on the constructed R_q(G).
 
     Covers all four directed hitting cases, all three resistance cases,
     the four scalar indices, and the two intermediary sums.
     """
-    worst = 0.0
-    worst_case = ""
-    count = 0
-    for g, q in cases:
-        summ = transfer.GraphSummary.from_graph(g)
-        tri = q_triangulate(g, q)
-        r = tri.result
-        hit = metrics.hitting_oracle(r)
-        res = metrics.resistance_oracle(r)
-        n = g.n
+    summ = transfer.GraphSummary.from_graph(g)
+    tri = q_triangulate(g, q)
+    r = tri.result
+    hit = metrics.hitting_oracle(r)
+    res = metrics.resistance_oracle(r)
+    hit_t, res_t = transfer.transfer_hitting, transfer.transfer_resistance
+    n = g.n
+    i, j = 1, min(2, n)
+    e2 = g.m  # a different generator edge when m > 1
+    x1 = tri.new_node_index(1, 1)
+    x2 = tri.new_node_index(e2, q)
+    old_i, old_j = transfer.OldNode(i), transfer.OldNode(j)
+    a_new = transfer.NewNode(*g.edges[0], 1)
+    b_new = transfer.NewNode(*g.edges[e2 - 1], q)
+    rows = []
+    if i != j:
+        rows += [
+            ("hit old/old", hit_t(q, summ, old_i, old_j), hit[i - 1, j - 1]),
+            ("res old/old", res_t(q, summ, old_i, old_j), res[i - 1, j - 1]),
+        ]
+    rows += [
+        ("hit new/old", hit_t(q, summ, a_new, old_j), hit[x1 - 1, j - 1]),
+        ("hit old/new", hit_t(q, summ, old_j, a_new), hit[j - 1, x1 - 1]),
+        ("res new/old", res_t(q, summ, a_new, old_j), res[x1 - 1, j - 1]),
+    ]
+    if x1 != x2:
+        rows += [
+            ("hit new/new", hit_t(q, summ, a_new, b_new), hit[x1 - 1, x2 - 1]),
+            ("hit new/new reverse", hit_t(q, summ, b_new, a_new), hit[x2 - 1, x1 - 1]),
+            ("res new/new", res_t(q, summ, a_new, b_new), res[x1 - 1, x2 - 1]),
+        ]
+    pi = r.stationary_distribution()
+    kir, add, mul = metrics.kirchhoff_indices(r, res)
+    rows += [
+        ("kemeny", transfer.transfer_kemeny(q, summ), float(hit[0, :] @ pi)),
+        ("kirchhoff", transfer.transfer_kirchhoff(q, summ), kir),
+        ("additive", transfer.transfer_additive(q, summ), add),
+        ("multiplicative", transfer.transfer_multiplicative(q, summ), mul),
+        ("cross sum", transfer.new_old_resistance_sum(q, summ), res[n:, :n].sum()),
+        ("new-pair sum", transfer.new_pair_resistance_sum(q, summ),
+         np.triu(res[n:, n:], 1).sum()),
+    ]
+    return [Check(kind, got, want, (g, q)) for kind, got, want in rows]
 
-        def check(got, want, what):
-            nonlocal worst, worst_case, count
-            count += 1
-            dev = _relerr(got, want)
-            if dev > worst:
-                worst = dev
-                worst_case = f"{what} on n={n} m={g.m} q={q}"
 
-        i, j = 1, min(2, n)
-        e1 = 1
-        e2 = g.m  # a different generator edge when m > 1
-        x1 = tri.new_node_index(e1, 1)
-        x2 = tri.new_node_index(e2, q)
-        s, t = g.edges[e1 - 1]
-        u, v = g.edges[e2 - 1]
-        a_new = transfer.NewNode(s, t, 1)
-        b_new = transfer.NewNode(u, v, q)
-        if i != j:
-            check(
-                transfer.transfer_hitting(q, summ, transfer.OldNode(i), transfer.OldNode(j)),
-                hit[i - 1, j - 1], "hit old/old",
-            )
-            check(
-                transfer.transfer_resistance(q, summ, transfer.OldNode(i), transfer.OldNode(j)),
-                res[i - 1, j - 1], "res old/old",
-            )
-        check(
-            transfer.transfer_hitting(q, summ, a_new, transfer.OldNode(j)),
-            hit[x1 - 1, j - 1], "hit new/old",
-        )
-        check(
-            transfer.transfer_hitting(q, summ, transfer.OldNode(j), a_new),
-            hit[j - 1, x1 - 1], "hit old/new",
-        )
-        check(
-            transfer.transfer_resistance(q, summ, a_new, transfer.OldNode(j)),
-            res[x1 - 1, j - 1], "res new/old",
-        )
-        if x1 != x2:
-            check(
-                transfer.transfer_hitting(q, summ, a_new, b_new),
-                hit[x1 - 1, x2 - 1], "hit new/new",
-            )
-            check(
-                transfer.transfer_hitting(q, summ, b_new, a_new),
-                hit[x2 - 1, x1 - 1], "hit new/new reverse",
-            )
-            check(
-                transfer.transfer_resistance(q, summ, a_new, b_new),
-                res[x1 - 1, x2 - 1], "res new/new",
-            )
-
-        pi = r.stationary_distribution()
-        kir, add, mul = metrics.kirchhoff_indices(r, res)
-        check(transfer.transfer_kemeny(q, summ), float(hit[0, :] @ pi), "kemeny")
-        check(transfer.transfer_kirchhoff(q, summ), kir, "kirchhoff")
-        check(transfer.transfer_additive(q, summ), add, "additive")
-        check(transfer.transfer_multiplicative(q, summ), mul, "multiplicative")
-        check(
-            transfer.new_old_resistance_sum(q, summ),
-            res[n:, :n].sum(), "cross sum",
-        )
-        check(
-            transfer.new_pair_resistance_sum(q, summ),
-            np.triu(res[n:, n:], 1).sum(), "new-pair sum",
-        )
-    return SuiteResult("transfer-vs-oracle", worst, tol, count, worst_case)
+def suite_transfer(cases, tol: float):
+    """:func:`transfer_checks` on every case."""
+    checks = [c for g, q in cases for c in transfer_checks(g, q)]
+    return SuiteResult("transfer-vs-oracle", tol, checks)
 
 
 def suite_identities(cases, tol: float):
     """Foster's theorem, 2m r = T_ij + T_ji, multiplicative index =
     2m K, and the kernel-sum identity, on G and on R_q(G)."""
-    worst = 0.0
-    worst_case = ""
-    count = 0
-
-    def check(dev, what):
-        nonlocal worst, worst_case, count
-        count += 1
-        if dev > worst:
-            worst = dev
-            worst_case = what
-
+    checks = []
     for g, q in cases:
         tri = q_triangulate(g, q)
         for tag, graph in (("G", g), ("Rq", tri.result)):
@@ -245,110 +239,79 @@ def suite_identities(cases, tol: float):
             res = metrics.resistance_oracle(graph)
             spec = spectral.eigendecompose(graph)
             foster = sum(res[i - 1, j - 1] for i, j in graph.edges)
-            check(abs(foster - (graph.n - 1)), f"foster {tag} n={graph.n}")
-            recip = np.abs(2 * graph.m * res - (hit + hit.T)).max()
-            check(recip, f"reciprocity {tag} n={graph.n}")
             _, _, mul = metrics.kirchhoff_indices(graph, res)
             kem = metrics.kemeny(spec)
-            check(
-                abs(mul - 2 * graph.m * kem) / max(1.0, mul),
-                f"mult=2mK {tag} n={graph.n}",
-            )
             pi = graph.stationary_distribution()
-            starts = np.abs(hit @ pi - kem).max()
-            check(starts, f"kemeny start-independence {tag} n={graph.n}")
-            # kernel-sum identity with this graph as the base of a
-            # further q-triangulation
-            for new_node in (graph.n + 1, graph.n + graph.m * q):
-                check(
-                    spectral.kernel_sum_residual(graph, q, spec, new_node),
-                    f"kernel-sum {tag} n={graph.n} m={graph.m} q={q}",
-                )
-    return SuiteResult("identity-suite", worst, tol, count, worst_case)
+            rows = [
+                ("foster", foster, graph.n - 1),
+                ("reciprocity", np.abs(2 * graph.m * res - (hit + hit.T)).max(), 0.0),
+                ("mult=2mK", 2 * graph.m * kem, mul),
+                ("kemeny start-independence", np.abs(hit @ pi - kem).max(), 0.0),
+            ] + [
+                # kernel-sum identity with this graph as the base of a
+                # further q-triangulation
+                ("kernel-sum", spectral.kernel_sum_residual(graph, q, spec, x), 0.0)
+                for x in (graph.n + 1, graph.n + graph.m * q)
+            ]
+            checks += [Check(f"{kind} {tag}", got, want, (g, q)) for kind, got, want in rows]
+    return SuiteResult("identity-suite", tol, checks)
+
+
+#: the summary fields that the iterated closed forms produce
+_INDICES = ("kemeny", "multiplicative", "additive", "kirchhoff")
 
 
 def suite_telescoping(qmax: int = 3, kmax: int = 6, tol: float = 1e-10):
     """Iterated closed forms vs k-fold chained single-step transfers,
     in exact rationals (must agree identically) and in floats."""
     bases = [
-        iterated.TRIANGLE_BASE,
-        transfer.GraphSummary(
+        (complete_graph(3), iterated.TRIANGLE_BASE),
+        (path_graph(2), transfer.GraphSummary(
             n=2, m=1,
             kemeny=Fraction(1, 2), kirchhoff=Fraction(1),
             additive=Fraction(2), multiplicative=Fraction(1),
-        ),
-        transfer.GraphSummary(
+        )),
+        (path_graph(3), transfer.GraphSummary(
             n=3, m=2,
             kemeny=Fraction(3, 2), kirchhoff=Fraction(4),
             additive=Fraction(10), multiplicative=Fraction(6),
-        ),
+        )),
     ]
-    worst = 0.0
-    worst_case = ""
-    count = 0
-    for base in bases:
+    checks = []
+    for g, base in bases:
         for q in range(1, qmax + 1):
             chain = base
             float_chain = transfer.GraphSummary(
                 n=base.n, m=base.m,
-                kemeny=float(base.kemeny), kirchhoff=float(base.kirchhoff),
-                additive=float(base.additive),
-                multiplicative=float(base.multiplicative),
+                **{name: float(getattr(base, name)) for name in _INDICES},
             )
             for k in range(kmax + 1):
-                closed = (
-                    iterated.iterated_kemeny(base, q, k),
-                    iterated.iterated_multiplicative(base, q, k),
-                    iterated.iterated_additive(base, q, k),
-                    iterated.iterated_kirchhoff(base, q, k),
-                )
-                chained = (
-                    chain.kemeny, chain.multiplicative,
-                    chain.additive, chain.kirchhoff,
-                )
-                for got, want in zip(closed, chained):
-                    count += 1
-                    if got != want:  # exact rational comparison
-                        dev = abs(float(got - want)) / max(1.0, abs(float(want)))
-                        if dev == 0.0:
-                            dev = tol * 10  # unequal rationals that round equal
-                        if dev > worst:
-                            worst = dev
-                            worst_case = f"exact n={base.n} m={base.m} q={q} k={k}"
-                fchained = (
-                    float_chain.kemeny, float_chain.multiplicative,
-                    float_chain.additive, float_chain.kirchhoff,
-                )
-                for got, want in zip(closed, fchained):
-                    count += 1
-                    dev = abs(float(got) - want) / max(1.0, abs(want))
-                    if dev > worst:
-                        worst = dev
-                        worst_case = f"float n={base.n} m={base.m} q={q} k={k}"
+                closed = [getattr(iterated, f"iterated_{name}")(base, q, k) for name in _INDICES]
+                for label, chained in (("exact", chain), ("float", float_chain)):
+                    checks += [
+                        Check(f"{label} {name}", got, getattr(chained, name), (g, q, k))
+                        for name, got in zip(_INDICES, closed)
+                    ]
                 chain = transfer.transferred_summary(q, chain)
                 float_chain = transfer.transferred_summary(q, float_chain)
-    return SuiteResult("iterated-telescoping", worst, tol, count, worst_case)
+    return SuiteResult("iterated-telescoping", tol, checks)
 
 
-def run_all(seed: int = 7, trials: int = 30, nmax: int = 10, qmax: int = 3,
-            tol: dict = None):
+def _graph_suites(cases, tol: dict) -> list:
+    return [
+        suite_spectrum_lift(cases, tol["eig"], tol["lift"]),
+        suite_transfer(cases, tol["transfer"]),
+        suite_identities(cases, tol["identity"]),
+    ]
+
+
+def run_all(seed: int = 7, trials: int = 30, nmax: int = 10, qmax: int = 3):
     """Run every suite on one seeded corpus; deterministic given seed."""
-    tol = tolerances(tol)
+    tol = tolerances()
     cases = make_corpus(seed, trials, nmax, qmax)
-    return [
-        suite_spectrum_lift(cases, tol["eig"], tol["lift"]),
-        suite_transfer(cases, tol["transfer"]),
-        suite_identities(cases, tol["identity"]),
-        suite_telescoping(qmax=qmax, tol=tol["iter"]),
-    ]
+    return _graph_suites(cases, tol) + [suite_telescoping(qmax=qmax, tol=tol["iter"])]
 
 
-def run_single(g: Graph, q: int, tol: dict = None):
+def run_single(g: Graph, q: int):
     """Run the graph-based suites on a single (graph, q) case."""
-    tol = tolerances(tol)
-    cases = [(g, q)]
-    return [
-        suite_spectrum_lift(cases, tol["eig"], tol["lift"]),
-        suite_transfer(cases, tol["transfer"]),
-        suite_identities(cases, tol["identity"]),
-    ]
+    return _graph_suites([(g, q)], tolerances())

@@ -3,6 +3,7 @@
 Each test exercises one acceptance criterion and reports a single
 pass/fail line in the terminal summary (see conftest)."""
 import io
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -183,27 +184,33 @@ def _mutants():
         v = iterated_kirchhoff(summ, q, k)
         return v * Fraction(101, 100) if k > 0 else v
 
+    # (patched name, its module, mutant, check kind that must be reported)
     return [
-        ("transfer_hitting", transfer_mod, hit_old_old),
-        ("transfer_hitting", transfer_mod, hit_new_old),
-        ("transfer_resistance", transfer_mod, res_old_old),
-        ("transfer_kemeny", transfer_mod, kemeny_leading),
-        ("iterated_kirchhoff", iterated_mod, kirchhoff_scaled),
+        ("transfer_hitting", transfer_mod, hit_old_old, "hit old/old"),
+        ("transfer_hitting", transfer_mod, hit_new_old, "hit new/old"),
+        ("transfer_resistance", transfer_mod, res_old_old, "res old/old"),
+        ("transfer_kemeny", transfer_mod, kemeny_leading, "kemeny"),
+        ("iterated_kirchhoff", iterated_mod, kirchhoff_scaled, "exact kirchhoff"),
     ]
 
 
 def test_criterion_mutation_sanity(monkeypatch):
     """Perturbing any single formula coefficient by 1% must flip the
-    verification command to a failing exit status."""
+    verification command to a failing exit status, with a worst-case
+    line that names the failing check kind and the case's edge list."""
     args = ["verify", "--seed", "5", "--trials", "4", "--nmax", "7", "--qmax", "2"]
     assert main(args, out=io.StringIO()) == 0
     caught = 0
-    for name, module, mutant in _mutants():
+    for name, module, mutant, kind in _mutants():
         with monkeypatch.context() as mp:
             mp.setattr(module, name, mutant)
             out = io.StringIO()
             code = main(args, out=out)
-            if code == 1 and "[FAIL]" in out.getvalue():
+            named = re.search(
+                rf"worst case: {re.escape(kind)} on n=\d+ m=\d+ q=\d+( k=\d+)? edges=\[\(",
+                out.getvalue(),
+            )
+            if code == 1 and "[FAIL]" in out.getvalue() and named:
                 caught += 1
     total = len(_mutants())
     record_criterion(

@@ -1,9 +1,13 @@
 import io
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from trispectra.cli import main
+from trispectra.graph import cycle_graph
+from trispectra.metrics import compute_metrics
 
 
 def run_cli(argv):
@@ -137,3 +141,69 @@ def test_pseudofractal_json_17_digits():
     code, text = run_cli(["pseudofractal", "--q", "1", "--kmax", "1", "--format", "json"])
     rows = json.loads(text)
     assert rows[1]["kemeny"] == pytest.approx(14 / 3, abs=1e-15)
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("fmt, name", [
+    ("table", "metrics_cycle5.txt"),
+    ("json", "metrics_cycle5.json"),
+])
+def test_metrics_cycle5_golden(fmt, name):
+    code, text = run_cli(["metrics", "--graph", "cycle:5", "--format", fmt])
+    assert code == 0
+    assert text == (GOLDEN / name).read_text()
+
+
+def test_verify_summary_lines():
+    code, text = run_cli(
+        ["verify", "--seed", "5", "--trials", "4", "--nmax", "7", "--qmax", "2"]
+    )
+    assert code == 0
+    pattern = re.compile(
+        r"\[pass\] (\S+): max deviation \S+ \(tol (\S+), (\d+) checks\)"
+    )
+    rows = [pattern.fullmatch(line).groups() for line in text.splitlines()]
+    assert rows == [
+        ("spectrum-lift", "1.0e-08", "8"),
+        ("transfer-vs-oracle", "1.0e-08", "56"),
+        ("identity-suite", "1.0e-08", "48"),
+        ("iterated-telescoping", "1.0e-10", "336"),
+    ]
+
+
+def test_metrics_json_matrices_exact():
+    code, text = run_cli(["metrics", "--graph", "cycle:5", "--format", "json"])
+    assert code == 0
+    routes = json.loads(text)["routes"]
+    for route in ("spectral", "oracle"):
+        rep = compute_metrics(cycle_graph(5), route)
+        assert routes[route]["hitting"] == rep.hitting.tolist()
+        assert routes[route]["resistance"] == rep.resistance.tolist()
+        assert routes[route]["kemeny"] == rep.kemeny
+
+
+def test_transfer_rows_k3():
+    code, text = run_cli(["transfer", "--graph", "k3", "--q", "1"])
+    assert code == 0
+    lines = text.splitlines()
+    assert [line[:20].strip() for line in lines[1:-1]] == [
+        "hit old/old", "res old/old",
+        "hit new/old", "hit old/new", "res new/old",
+        "hit new/new", "hit new/new reverse", "res new/new",
+        "kemeny", "kirchhoff", "additive", "multiplicative",
+        "cross sum", "new-pair sum",
+    ]
+    worst = float(lines[-1].split(":")[1])
+    assert worst == max(float(line.split()[-1]) for line in lines[1:-1])
+    assert worst < 1e-12
+
+
+def test_pseudofractal_overflow_is_input_error(capsys):
+    code, _ = run_cli(["pseudofractal", "--q", "1", "--kmax", "321"])
+    assert code == 0
+    code, text = run_cli(["pseudofractal", "--q", "1", "--kmax", "322"])
+    assert code == 2 and text == ""
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "k=322" in err and "Traceback" not in err

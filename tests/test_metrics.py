@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from trispectra.errors import SameNodeError
-from trispectra.graph import complete_graph, cycle_graph, path_graph
+from trispectra.graph import build_graph, complete_graph, cycle_graph, path_graph
 from trispectra.metrics import (
     compute_metrics,
     hitting_oracle,
@@ -113,3 +113,14 @@ def test_multiplicative_is_2m_kemeny(small_corpus):
     for g, _ in small_corpus:
         _, _, mul = kirchhoff_indices(g, resistance_oracle(g))
         assert mul == pytest.approx(2 * g.m * kemeny(eigendecompose(g)), abs=1e-8)
+
+
+def test_resistance_oracle_dense_graph():
+    """K10 minus four edges: a pseudoinverse by thresholded eigenvalues
+    keeps L's zero eigenvalue here; (L + J/n)^-1 - J/n does not."""
+    dropped = {(1, 10), (3, 4), (4, 5), (5, 6)}
+    g = build_graph(10, [e for e in complete_graph(10).edges if e not in dropped])
+    r = resistance_oracle(g)
+    assert sum(r[i - 1, j - 1] for i, j in g.edges) == pytest.approx(g.n - 1, abs=1e-12)
+    spectral = compute_metrics(g, "spectral").resistance
+    assert np.abs(r - spectral).max() < 1e-12

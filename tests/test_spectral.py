@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from trispectra.errors import InvalidQError
+
 from trispectra.graph import complete_graph, cycle_graph, is_bipartite
 from trispectra.spectral import (
     eigendecompose,
@@ -132,3 +134,11 @@ def test_kernel_sum_identity_random(small_corpus):
         spec = eigendecompose(g)
         for new_node in (g.n + 1, g.n + g.m * q):
             assert kernel_sum_residual(g, q, spec, new_node) < 1e-8
+
+
+def test_lift_rejects_non_integer_q():
+    g = complete_graph(3)
+    with pytest.raises(InvalidQError):
+        lift_spectrum(eigendecompose(g), g, 1.5)
+    with pytest.raises(InvalidQError):
+        kernel_basis(g, True)

@@ -62,6 +62,8 @@ def test_invalid_q():
     with pytest.raises(InvalidQError):
         q_triangulate(complete_graph(3), 0)
     with pytest.raises(InvalidQError):
+        q_triangulate(complete_graph(3), True)
+    with pytest.raises(InvalidQError):
         predicted_counts(3, 3, -1, 2)
 
 
