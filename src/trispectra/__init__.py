@@ -5,6 +5,7 @@ from .errors import (
     ConvergenceFailure,
     DisconnectedError,
     DuplicateEdgeError,
+    EdgeListParseError,
     EmptyGraphError,
     GraphError,
     InvalidNodeRefError,
@@ -38,11 +39,9 @@ from .metrics import (
     MetricsReport,
     compute_metrics,
     hitting_oracle,
-    hitting_spectral,
     kemeny,
     kirchhoff_indices,
     resistance_oracle,
-    resistance_spectral,
 )
 from .spectral import (
     LiftedSpectrum,

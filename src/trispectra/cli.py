@@ -17,13 +17,8 @@ import sys
 import numpy as np
 
 from . import verify
-from .errors import ConvergenceFailure, TrispectraError
-from .graph import (
-    EdgeListParseError,
-    builtin_graph,
-    format_edge_list,
-    parse_edge_list,
-)
+from .errors import ConvergenceFailure, EdgeListParseError, TrispectraError
+from .graph import builtin_graph, format_edge_list, parse_edge_list
 from .iterated import pseudofractal_metrics
 from .metrics import compute_metrics
 from .spectral import eigendecompose, lift_spectrum

@@ -1,5 +1,7 @@
 """Exception hierarchy shared by all modules, and the q validator."""
 
+from numbers import Integral
+
 
 class TrispectraError(Exception):
     """Base class for all library errors."""
@@ -25,14 +27,25 @@ class DisconnectedError(GraphError):
     pass
 
 
+class EdgeListParseError(GraphError):
+    """Malformed edge-list text; the message names the offending line."""
+
+    def __init__(self, line_no: int, message: str):
+        super().__init__(f"parse error line {line_no}: {message}")
+        self.line_no = line_no
+
+
 class InvalidQError(TrispectraError):
     """q-triangulation parameter must be a positive integer."""
 
 
-def check_q(q) -> None:
-    """Raise InvalidQError unless q is a positive int (bools are not)."""
-    if isinstance(q, bool) or not isinstance(q, int) or q < 1:
+def check_q(q) -> int:
+    """q as a Python int; raise InvalidQError unless q is a positive
+    integer.  numpy integers are accepted, and converted so that exact
+    powers such as (4q+2)^k cannot overflow; bools are rejected."""
+    if isinstance(q, bool) or not isinstance(q, Integral) or q < 1:
         raise InvalidQError(f"q must be a positive integer, got {q!r}")
+    return int(q)
 
 
 class SameNodeError(TrispectraError):

@@ -17,6 +17,7 @@ import numpy as np
 from .errors import (
     DisconnectedError,
     DuplicateEdgeError,
+    EdgeListParseError,
     EmptyGraphError,
     SelfLoopError,
 )
@@ -125,7 +126,8 @@ def build_graph(n: int, edges) -> Graph:
 
     Raises
     ------
-    EmptyGraphError, SelfLoopError, DuplicateEdgeError, DisconnectedError
+    EmptyGraphError (also for a single node without edges), SelfLoopError,
+    DuplicateEdgeError, DisconnectedError
     """
     if n < 1:
         raise EmptyGraphError(f"node count must be >= 1, got {n}")
@@ -145,6 +147,8 @@ def build_graph(n: int, edges) -> Graph:
     canon.sort()
     g = Graph(n=n, edges=tuple(canon))
     _check_connected(g)
+    if not canon:
+        raise EmptyGraphError("graph has no edges; a walk on it is undefined")
     return g
 
 
@@ -194,12 +198,6 @@ def is_bipartite(g: Graph):
 #   first line:  n m
 #   then m lines: i j       (1-based, whitespace separated)
 #   '#' starts a comment; blank lines ignored.
-
-
-class EdgeListParseError(ValueError):
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"parse error line {line_no}: {message}")
-        self.line_no = line_no
 
 
 def parse_edge_list(text: str) -> Graph:

@@ -32,7 +32,7 @@ def _growth_powers(q: int, k: int):
 
 def iterated_kemeny(summary: GraphSummary, q: int, k: int):
     """Kemeny's constant after k iterations."""
-    check_q(q)
+    q = check_q(q)
     _check_k(k)
     if k == 0:
         return summary.kemeny
@@ -47,7 +47,7 @@ def iterated_kemeny(summary: GraphSummary, q: int, k: int):
 
 def iterated_multiplicative(summary: GraphSummary, q: int, k: int):
     """Multiplicative degree-Kirchhoff index after k iterations."""
-    check_q(q)
+    q = check_q(q)
     _check_k(k)
     if k == 0:
         return summary.multiplicative
@@ -67,7 +67,7 @@ def iterated_multiplicative(summary: GraphSummary, q: int, k: int):
 
 def iterated_additive(summary: GraphSummary, q: int, k: int):
     """Additive degree-Kirchhoff index after k iterations."""
-    check_q(q)
+    q = check_q(q)
     _check_k(k)
     if k == 0:
         return summary.additive
@@ -97,7 +97,7 @@ def iterated_additive(summary: GraphSummary, q: int, k: int):
 
 def iterated_kirchhoff(summary: GraphSummary, q: int, k: int):
     """Kirchhoff index after k iterations."""
-    check_q(q)
+    q = check_q(q)
     _check_k(k)
     if k == 0:
         return summary.kirchhoff
@@ -152,7 +152,7 @@ TRIANGLE_BASE = GraphSummary(
 def pseudofractal_metrics(q: int, k: int):
     """(Kemeny, multiplicative, additive, Kirchhoff) of the k-th
     pseudofractal web built with parameter q, as exact Fractions."""
-    check_q(q)
+    q = check_q(q)
     _check_k(k)
     a, b, c, e, _ = _growth_powers(q, k)
     tkm1 = Fraction(2 * q + 1) ** (k - 1)

@@ -2,8 +2,8 @@
 three Kirchhoff indices, each computed two independent ways.
 
 The spectral route evaluates the eigenvalue/eigenvector formulas; the
-oracle route solves linear systems directly (first-step analysis for
-hitting times, Laplacian pseudoinverse for resistances) and never
+oracle route inverts matrices directly (the fundamental matrix for
+hitting times, the Laplacian pseudoinverse for resistances) and never
 touches the spectral formulas, so the two routes cross-validate.
 """
 
@@ -12,9 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
 
-from .errors import SameNodeError, SingularSystemError
+from .errors import SingularSystemError
 from .graph import Graph, is_bipartite
 from .spectral import Spectrum
 
@@ -38,33 +37,18 @@ class MetricsReport:
 
 
 def hitting_oracle(g: Graph) -> np.ndarray:
-    """Full hitting-time matrix by first-step analysis.
-
-    For each target j, solve h_i = 1 + sum_{u in Gamma(i)} h_u / d_i with
-    h_j = 0; one dense solve per target.
-    """
-    n = g.n
-    t = g.transition_matrix()
-    h = np.zeros((n, n))
-    ones = np.ones(n)
-    for j in range(n):
-        a = np.eye(n) - t
-        a[j, :] = 0.0
-        a[j, j] = 1.0
-        b = ones.copy()
-        b[j] = 0.0
-        try:
-            col = linalg.solve(a, b)
-        except linalg.LinAlgError as exc:
-            raise SingularSystemError(
-                f"hitting-time system for target {j + 1} is singular"
-            ) from exc
-        if np.linalg.norm(a @ col - b) > _SOLVE_RESIDUAL * n:
-            raise SingularSystemError(
-                f"hitting-time solve for target {j + 1} missed residual target"
-            )
-        h[:, j] = col
-    return h
+    """Full hitting-time matrix from the fundamental matrix of the walk,
+    Z = (I - T + 1 pi^T)^{-1}: T_ij = (Z_jj - Z_ij) / pi_j (Kemeny and
+    Snell, Finite Markov Chains, 1960).  One inverse for all targets."""
+    pi = g.stationary_distribution()
+    a = np.eye(g.n) - g.transition_matrix() + pi[None, :]
+    try:
+        z = np.linalg.inv(a)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystemError("I - T + 1 pi^T is singular") from exc
+    if np.abs(a @ z - np.eye(g.n)).max() > _SOLVE_RESIDUAL * g.n:
+        raise SingularSystemError("fundamental matrix missed residual target")
+    return (np.diag(z)[None, :] - z) / pi[None, :]
 
 
 def resistance_oracle(g: Graph) -> np.ndarray:
@@ -89,35 +73,28 @@ def resistance_oracle(g: Graph) -> np.ndarray:
 # ---- spectral route ---------------------------------------------------
 
 
-def hitting_spectral(spec: Spectrum, g: Graph, i: int, j: int) -> float:
-    """Hitting time T_ij from the spectrum of P.
+def _green(spec: Spectrum, g: Graph, upper: int) -> np.ndarray:
+    """U diag(1/(1 - lambda_k)) U^T over k = 2..upper, U = D^{-1/2} V.
 
-    Non-bipartite: 2m sum_{k>=2} (v_kj^2/d_j - v_ki v_kj/sqrt(d_i d_j))
-    / (1 - lambda_k).  Bipartite: the k = n term is dropped and +1 is
-    added iff i and j lie in different parts of the 2-coloring.
+    Written as S S^T with S = U diag(1/sqrt(1 - lambda_k)), so the
+    product is exactly symmetric.
     """
-    if i == j:
-        raise SameNodeError(f"hitting time from node {i} to itself")
-    return float(hitting_spectral_matrix(spec, g)[i - 1, j - 1])
+    u = spec.eigenvectors[:, 1:upper] / np.sqrt(g.degrees)[:, None]
+    s = u / np.sqrt(1.0 - spec.eigenvalues[1:upper])
+    return s @ s.T
 
 
 def hitting_spectral_matrix(spec: Spectrum, g: Graph) -> np.ndarray:
+    """Hitting times from the spectrum of P: T_ij = 2m (G_jj - G_ij) with
+    G = _green over k >= 2.  For bipartite G the k = n term is dropped
+    and +1 is added iff i and j lie in different parts of the 2-coloring.
+    """
     bipartite, parts = is_bipartite(g)
-    upper = g.n - 1 if bipartite else g.n
-    d = g.degrees.astype(float)
-    h = np.zeros((g.n, g.n))
-    for k in range(1, upper):
-        v = spec.eigenvectors[:, k]
-        w = 1.0 / (1.0 - spec.eigenvalues[k])
-        vj2 = v ** 2 / d
-        cross = np.outer(v / np.sqrt(d), v / np.sqrt(d))
-        h += w * (vj2[None, :] - cross)
-    h *= 2.0 * g.m
+    green = _green(spec, g, g.n - 1 if bipartite else g.n)
+    h = 2.0 * g.m * (np.diag(green)[None, :] - green)
     if bipartite:
-        v1, _ = parts
-        side = np.array([1 if u in v1 else 0 for u in range(1, g.n + 1)])
-        h += (side[:, None] != side[None, :]).astype(float)
-    np.fill_diagonal(h, 0.0)
+        side = np.isin(np.arange(1, g.n + 1), list(parts[0]))
+        h += side[:, None] != side[None, :]
     return h
 
 
@@ -126,25 +103,15 @@ def kemeny(spec: Spectrum) -> float:
     return float(np.sum(1.0 / (1.0 - spec.eigenvalues[1:])))
 
 
-def resistance_spectral(spec: Spectrum, g: Graph, i: int, j: int) -> float:
-    """r_ij = sum_{k>=2} (v_ki/sqrt(d_i) - v_kj/sqrt(d_j))^2 / (1-lambda_k).
+def resistance_spectral_matrix(spec: Spectrum, g: Graph) -> np.ndarray:
+    """r_ij = G_ii + G_jj - 2 G_ij with G = _green over all k >= 2.
 
     The k = n term is kept even for bipartite graphs: lambda_n = -1
     contributes finitely through the denominator 2.
     """
-    if i == j:
-        return 0.0
-    return float(resistance_spectral_matrix(spec, g)[i - 1, j - 1])
-
-
-def resistance_spectral_matrix(spec: Spectrum, g: Graph) -> np.ndarray:
-    d = np.sqrt(g.degrees.astype(float))
-    r = np.zeros((g.n, g.n))
-    for k in range(1, g.n):
-        u = spec.eigenvectors[:, k] / d
-        r += (u[:, None] - u[None, :]) ** 2 / (1.0 - spec.eigenvalues[k])
-    np.fill_diagonal(r, 0.0)
-    return r
+    green = _green(spec, g, g.n)
+    diag = np.diag(green)
+    return diag[:, None] + diag[None, :] - 2.0 * green
 
 
 # ---- indices and the combined report ---------------------------------

@@ -58,13 +58,9 @@ class LiftedSpectrum:
 
 def _fix_signs(vecs: np.ndarray) -> np.ndarray:
     """Make the first entry of magnitude > 1e-8 positive in each column."""
-    out = vecs.copy()
-    for k in range(out.shape[1]):
-        col = out[:, k]
-        nz = np.flatnonzero(np.abs(col) > 1e-8)
-        if nz.size and col[nz[0]] < 0:
-            out[:, k] = -col
-    return out
+    big = np.abs(vecs) > 1e-8
+    lead = vecs[np.argmax(big, axis=0), np.arange(vecs.shape[1])]
+    return np.where(big.any(axis=0) & (lead < 0), -vecs, vecs)
 
 
 def eigendecompose(g: Graph) -> Spectrum:
@@ -84,24 +80,34 @@ def eigendecompose(g: Graph) -> Spectrum:
     return Spectrum(eigenvalues=vals, eigenvectors=vecs, n=g.n, m=g.m)
 
 
-def kernel_basis(g: Graph, q: int) -> np.ndarray:
-    """Orthonormal basis of ker(C), C = q horizontal copies of B.
-
-    Returns an (m*q) x dim matrix whose columns y satisfy ||C y|| <= 1e-10.
-    dim equals m*q - rank(B): m*q - n for non-bipartite G, m*q - n + 1
-    for bipartite G.
-    """
-    check_q(q)
-    b = g.incidence_matrix().astype(float)
-    c = np.hstack([b] * q)
+def _null_space(a: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of ker(a), one column per zero singular value."""
     try:
-        _, svals, vh = np.linalg.svd(c, full_matrices=True)
+        _, svals, vh = np.linalg.svd(a, full_matrices=True)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
         raise ConvergenceFailure(f"SVD of kernel matrix failed: {exc}") from exc
     rank = int(np.sum(svals > RANK_CUTOFF * svals[0])) if svals.size else 0
-    basis = vh[rank:].T
+    return vh[rank:].T
+
+
+def kernel_basis(g: Graph, q: int) -> np.ndarray:
+    """Orthonormal basis of ker(C), C = q horizontal copies of B.
+
+    C = 1_q^T (x) B, so ker C = (ker 1_q^T (x) I_m) + (1_q/sqrt(q) (x) ker B),
+    and only the n x m matrix B is decomposed.  Returns an (m*q) x dim
+    matrix whose columns y satisfy ||C y|| <= 1e-10.  dim equals
+    m*q - rank(B): m*q - n for non-bipartite G, m*q - n + 1 for
+    bipartite G.
+    """
+    q = check_q(q)
+    b = g.incidence_matrix().astype(float)
+    basis = np.hstack([
+        np.kron(_null_space(np.ones((1, q))), np.eye(g.m)),
+        np.kron(np.full((q, 1), 1.0 / np.sqrt(q)), _null_space(b)),
+    ])
     if basis.size:
-        worst = np.linalg.norm(c @ basis, axis=0).max()
+        # C y = B (y_1 + ... + y_q) over the q blocks of y
+        worst = np.linalg.norm(b @ basis.reshape(q, g.m, -1).sum(axis=0), axis=0).max()
         if worst > 1e-10:
             raise ConvergenceFailure(
                 f"kernel basis residual {worst:.3e} exceeds 1e-10"
@@ -117,33 +123,24 @@ def lift_spectrum(spec: Spectrum, g: Graph, q: int) -> LiftedSpectrum:
     of sqrt(2(q+1)) / (lambda +- sqrt(Delta)) * B^T D^{-1/2} v, the whole
     vector normalized by sqrt(1/2 +- lambda / (2 sqrt(Delta))).
     """
-    check_q(q)
+    q = check_q(q)
     n, m = g.n, g.m
     nt = n + m * q
     bipartite, _ = is_bipartite(g)
     n_branch = n - 1 if bipartite else n
 
-    bt_dinv = g.incidence_matrix().T / np.sqrt(g.degrees)[None, :]
-
-    vals = []
-    vecs = []
-    branches = []
-    deltas = np.empty(n)
     lam_all = spec.eigenvalues
-    for i in range(n):
-        deltas[i] = lam_all[i] ** 2 + 2 * q * (q + 1) * (1 + lam_all[i])
-    for i in range(n_branch):
-        lam = lam_all[i]
-        sqrt_delta = np.sqrt(deltas[i])
-        w = bt_dinv @ spec.eigenvectors[:, i]
-        for sign, label in ((+1.0, "plus"), (-1.0, "minus")):
-            denom = lam + sign * sqrt_delta
-            scale = np.sqrt(0.5 + sign * lam / (2.0 * sqrt_delta))
-            new_block = (np.sqrt(2.0 * (q + 1)) / denom) * w
-            vec = np.concatenate([spec.eigenvectors[:, i]] + [new_block] * q)
-            vals.append(denom / (2.0 * (q + 1)))
-            vecs.append(scale * vec)
-            branches.append(label)
+    deltas = lam_all ** 2 + 2 * q * (q + 1) * (1 + lam_all)
+    lam, sqrt_delta = lam_all[:n_branch], np.sqrt(deltas[:n_branch])
+    v = spec.eigenvectors[:, :n_branch]
+    w = (g.incidence_matrix().T / np.sqrt(g.degrees)[None, :]) @ v
+    roots, vecs = [], []
+    for sign in (1.0, -1.0):
+        denom = lam + sign * sqrt_delta
+        new_block = (np.sqrt(2.0 * (q + 1)) / denom) * w
+        scale = np.sqrt(0.5 + sign * lam / (2.0 * sqrt_delta))
+        roots.append(denom / (2.0 * (q + 1)))
+        vecs.append(scale * np.vstack([v] + [new_block] * q))
 
     basis = kernel_basis(g, q)
     expected_dim = m * q - n + (1 if bipartite else 0)
@@ -151,31 +148,32 @@ def lift_spectrum(spec: Spectrum, g: Graph, q: int) -> LiftedSpectrum:
         raise ConvergenceFailure(
             f"kernel dimension {basis.shape[1]} != expected {expected_dim}"
         )
-    for z in range(basis.shape[1]):
-        vec = np.concatenate([np.zeros(n), basis[:, z]])
-        vals.append(0.0)
-        vecs.append(vec)
-        branches.append("zero")
-
+    # interleaved so that each input eigenvalue's plus root precedes its
+    # minus root, then the kernel's zeros
+    vals = [np.stack(roots, axis=1).ravel(), np.zeros(expected_dim)]
+    cols = [
+        np.stack(vecs, axis=2).reshape(nt, 2 * n_branch),
+        np.vstack([np.zeros((n, expected_dim)), basis]),
+    ]
+    branches = ["plus", "minus"] * n_branch + ["zero"] * expected_dim
     if bipartite:
-        vec = np.concatenate([spec.eigenvectors[:, n - 1], np.zeros(m * q)])
-        vals.append(-1.0 / (q + 1))
-        vecs.append(vec)
+        vals.append([-1.0 / (q + 1)])
+        special = np.concatenate([spec.eigenvectors[:, n - 1], np.zeros(m * q)])
+        cols.append(special[:, None])
         branches.append("bipartite-special")
 
-    vals = np.array(vals)
-    mat = np.column_stack(vecs)
+    vals = np.concatenate(vals)
     order = np.argsort(-vals, kind="stable")
     vals = vals[order]
-    mat = _fix_signs(mat[:, order])
-    branches = tuple(branches[k] for k in order)
+    mat = _fix_signs(np.hstack(cols)[:, order])
+    branches = tuple(np.array(branches)[order].tolist())
 
     vals.setflags(write=False)
     mat.setflags(write=False)
     lifted = Spectrum(eigenvalues=vals, eigenvectors=mat, n=nt, m=m * (2 * q + 1))
     return LiftedSpectrum(
         spectrum=lifted, q=q, delta=deltas, branches=branches,
-        kernel_dim=basis.shape[1],
+        kernel_dim=expected_dim,
     )
 
 
@@ -190,21 +188,16 @@ def kernel_sum_residual(g: Graph, q: int, spec: Spectrum, new_node: int) -> floa
     if not (n < new_node <= n + m * q):
         raise InvalidQError(f"node {new_node} is not a new node of R_{q}(G)")
     pos = new_node - n - 1          # 0-based position within the mq block
-    e = pos % m                     # 0-based generator edge index
-    s, t = g.edges[e]
+    s, t = g.edges[pos % m]         # generator edge
 
     basis = kernel_basis(g, q)
-    lhs = float(np.sum(basis[pos, :] ** 2)) if basis.size else 0.0
+    lhs = float(np.sum(basis[pos, :] ** 2))
 
     bipartite, _ = is_bipartite(g)
     upper = n - 1 if bipartite else n
-    d = g.degrees
-    rhs = 1.0 - 1.0 / (m * q)
-    for k in range(1, upper):
-        lam = spec.eigenvalues[k]
-        term = (
-            spec.eigenvectors[s - 1, k] / np.sqrt(d[s - 1])
-            + spec.eigenvectors[t - 1, k] / np.sqrt(d[t - 1])
-        )
-        rhs -= term ** 2 / ((1.0 + lam) * q)
+    d = np.sqrt(g.degrees)
+    v = spec.eigenvectors[:, 1:upper]
+    term = v[s - 1] / d[s - 1] + v[t - 1] / d[t - 1]
+    lam = spec.eigenvalues[1:upper]
+    rhs = 1.0 - 1.0 / (m * q) - np.sum(term ** 2 / ((1.0 + lam) * q))
     return abs(lhs - rhs)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Integral
 
 from .errors import InvalidNodeRefError, SameNodeError, check_q
 
@@ -77,13 +78,23 @@ class NewNode:
         return (min(self.s, self.t), max(self.s, self.t))
 
 
-def _validate_ref(summary: GraphSummary, ref) -> None:
+def _is_index(x, top: int) -> bool:
+    """True iff x is an integer (not a bool) in 1..top."""
+    return isinstance(x, Integral) and not isinstance(x, bool) and 1 <= x <= top
+
+
+def _validate_ref(q: int, summary: GraphSummary, ref) -> None:
     if isinstance(ref, OldNode):
-        if not (1 <= ref.i <= summary.n):
-            raise InvalidNodeRefError(f"old node {ref.i} outside 1..{summary.n}")
+        if not _is_index(ref.i, summary.n):
+            raise InvalidNodeRefError(f"old node {ref.i!r} outside 1..{summary.n}")
     elif isinstance(ref, NewNode):
-        if ref.s == ref.t:
-            raise InvalidNodeRefError(f"generator pair ({ref.s},{ref.t}) degenerate")
+        ends_ok = _is_index(ref.s, summary.n) and _is_index(ref.t, summary.n)
+        if not ends_ok or ref.s == ref.t:
+            raise InvalidNodeRefError(
+                f"generator pair ({ref.s!r},{ref.t!r}) is not two distinct nodes of G"
+            )
+        if not _is_index(ref.copy, q):
+            raise InvalidNodeRefError(f"copy {ref.copy!r} outside 1..{q}")
         if summary.edge_set is not None and ref.ends not in summary.edge_set:
             raise InvalidNodeRefError(
                 f"generator pair {ref.ends} is not an edge of G"
@@ -115,9 +126,9 @@ def transfer_hitting(q: int, summary: GraphSummary, a, b):
                          + (2q+1)/(2(q+2)) [T_su + T_tu + T_sv + T_tv
                                             - (T_uv + T_vu)]
     """
-    check_q(q)
-    _validate_ref(summary, a)
-    _validate_ref(summary, b)
+    q = check_q(q)
+    _validate_ref(q, summary, a)
+    _validate_ref(q, summary, b)
     if _same_ref(a, b):
         raise SameNodeError(f"hitting time from {a} to itself")
     if summary.hitting is None:
@@ -159,9 +170,9 @@ def transfer_resistance(q: int, summary: GraphSummary, a, b):
       new{s,t}/new{u,v}: 1 + (r_su + r_tu + r_sv + r_tv - r_uv - r_st)
                              / (2(q+2))
     """
-    check_q(q)
-    _validate_ref(summary, a)
-    _validate_ref(summary, b)
+    q = check_q(q)
+    _validate_ref(q, summary, a)
+    _validate_ref(q, summary, b)
     if _same_ref(a, b):
         return 0
     if summary.resistance is None:
@@ -192,7 +203,7 @@ def transfer_resistance(q: int, summary: GraphSummary, a, b):
 
 def transfer_kemeny(q: int, summary: GraphSummary):
     """Kemeny's constant of R_q(G)."""
-    check_q(q)
+    q = check_q(q)
     n, m = summary.n, summary.m
     return (
         Fraction(4 * q + 2, q + 2) * summary.kemeny
@@ -204,7 +215,7 @@ def transfer_kemeny(q: int, summary: GraphSummary):
 
 def transfer_multiplicative(q: int, summary: GraphSummary):
     """Multiplicative degree-Kirchhoff index of R_q(G)."""
-    check_q(q)
+    q = check_q(q)
     n, m = summary.n, summary.m
     return Fraction(2 * (2 * q + 1) ** 2, q + 2) * summary.multiplicative + 2 * m * (
         Fraction(q * q + (4 * n - 1) * q + 2 * n, q + 2)
@@ -214,7 +225,7 @@ def transfer_multiplicative(q: int, summary: GraphSummary):
 
 def transfer_additive(q: int, summary: GraphSummary):
     """Additive degree-Kirchhoff index of R_q(G)."""
-    check_q(q)
+    q = check_q(q)
     n, m = summary.n, summary.m
     return (
         Fraction(2 * (2 * q + 1), q + 2) * summary.additive
@@ -227,7 +238,7 @@ def transfer_additive(q: int, summary: GraphSummary):
 
 def transfer_kirchhoff(q: int, summary: GraphSummary):
     """Kirchhoff index of R_q(G)."""
-    check_q(q)
+    q = check_q(q)
     n, m = summary.n, summary.m
     return (
         Fraction(2, q + 2) * summary.kirchhoff
@@ -240,7 +251,7 @@ def transfer_kirchhoff(q: int, summary: GraphSummary):
 
 def new_old_resistance_sum(q: int, summary: GraphSummary):
     """Sum of resistances over (new node, old node) pairs in R_q(G)."""
-    check_q(q)
+    q = check_q(q)
     n, m = summary.n, summary.m
     return (
         Fraction(q, q + 2) * summary.additive
@@ -251,7 +262,7 @@ def new_old_resistance_sum(q: int, summary: GraphSummary):
 
 def new_pair_resistance_sum(q: int, summary: GraphSummary):
     """Sum of resistances over unordered pairs of new nodes in R_q(G)."""
-    check_q(q)
+    q = check_q(q)
     n, m = summary.n, summary.m
     return (
         Fraction(q * q, 2 * (q + 2)) * summary.multiplicative
@@ -262,7 +273,7 @@ def new_pair_resistance_sum(q: int, summary: GraphSummary):
 
 def transferred_summary(q: int, summary: GraphSummary) -> GraphSummary:
     """Scalar summary of R_q(G), for chaining single-step transfers."""
-    check_q(q)
+    q = check_q(q)
     return GraphSummary(
         n=summary.n + summary.m * q,
         m=summary.m * (2 * q + 1),

@@ -45,7 +45,7 @@ class TriangulationResult:
 
 def q_triangulate(g: Graph, q: int) -> TriangulationResult:
     """Construct R_q(G)."""
-    check_q(q)
+    q = check_q(q)
     n, m = g.n, g.m
     edges = list(g.edges)
     provenance = {}
@@ -61,7 +61,7 @@ def q_triangulate(g: Graph, q: int) -> TriangulationResult:
 
 def iterate_triangulation(g: Graph, q: int, k: int) -> list:
     """Apply q-triangulation k times; element j is R_{q,j+1}(G)."""
-    check_q(q)
+    q = check_q(q)
     if k < 0:
         raise InvalidQError(f"iteration count must be >= 0, got {k}")
     out = []
@@ -79,7 +79,7 @@ def predicted_counts(n: int, m: int, q: int, k: int):
     m_{q,k} = (2q+1)^k m and n_{q,k} = m[(2q+1)^k - 1]/2 + n; the second
     is integral because (2q+1)^k - 1 is even.
     """
-    check_q(q)
+    q = check_q(q)
     if k < 0:
         raise InvalidQError(f"iteration count must be >= 0, got {k}")
     growth = (2 * q + 1) ** k

@@ -20,6 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import iterated, metrics, spectral, transfer
+from .errors import DisconnectedError
 from .graph import Graph, build_graph, complete_graph, is_bipartite, path_graph
 from .triangulation import q_triangulate
 
@@ -124,7 +125,7 @@ def random_connected_graph(rng, nmax: int, bipartite: bool) -> Graph:
         edges = [e for e in candidates if rng.random() < p]
         try:
             g = build_graph(n, edges)
-        except Exception:
+        except DisconnectedError:
             continue
         if is_bipartite(g)[0] == bipartite:
             return g

@@ -125,6 +125,22 @@ def test_criterion_pseudofractal():
     _report("criterion-6 pseudofractal family", dev, 1e-7)
 
 
+def test_criterion_pseudofractal_k6_web():
+    """The k = 6 web (q = 1, n = 1095) through the oracle route against
+    its exact closed forms."""
+    web = iterate_triangulation(complete_graph(3), 1, 6)[-1].result
+    assert web.n == 1095
+    rep = compute_metrics(web, route="oracle")
+    dev = max(
+        abs(got - float(want)) / float(want)
+        for got, want in zip(
+            (rep.kemeny, rep.multiplicative, rep.additive, rep.kirchhoff),
+            pseudofractal_metrics(1, 6),
+        )
+    )
+    _report("criterion-6 pseudofractal web k=6 (n=1095)", dev, 1e-10)
+
+
 def test_criterion_closed_loop():
     """One q-triangulation of an edge is a triangle; the transfer
     formulas applied to the edge must reproduce every triangle value."""

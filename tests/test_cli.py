@@ -3,6 +3,7 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from trispectra.cli import main
@@ -29,11 +30,12 @@ def test_triangulate_k3_header():
     assert "6 nodes, 9 edges" in text
 
 
-def test_triangulate_parse_error(tmp_path):
+def test_triangulate_parse_error(tmp_path, capsys):
     bad = tmp_path / "bad.edges"
     bad.write_text("3 2\n1 2\nbroken\n")
     code, _ = run_cli(["triangulate", "--input", str(bad), "--q", "1"])
     assert code == 2
+    assert capsys.readouterr().err == "error: parse error line 3: expected 'i j'\n"
 
 
 def test_triangulate_missing_file():
@@ -154,6 +156,30 @@ def test_metrics_cycle5_golden(fmt, name):
     code, text = run_cli(["metrics", "--graph", "cycle:5", "--format", fmt])
     assert code == 0
     assert text == (GOLDEN / name).read_text()
+
+
+def test_metrics_cycle5_golden_is_exact():
+    """Every number in the JSON golden file is within 1e-14 (relative to
+    max(1, |value|)) of the exact C5 values: T_ij = k(5-k) and
+    r_ij = k(5-k)/5 at cycle distance k, Kemeny 4, Kirchhoff 10,
+    additive and multiplicative 40, Foster sum n - 1 = 4, and no
+    deviation between the routes."""
+    payload = json.loads((GOLDEN / "metrics_cycle5.json").read_text())
+    k = np.abs(np.subtract.outer(np.arange(5), np.arange(5)))
+    k = np.minimum(k, 5 - k)
+    exact = {
+        "hitting": k * (5 - k),
+        "resistance": k * (5 - k) / 5,
+        "kemeny": 4, "kirchhoff": 10, "additive": 40, "multiplicative": 40,
+    }
+    pairs = [(payload["max_route_deviation"], 0), (payload["foster_edge_sum"], 4)]
+    assert set(payload["routes"]) == {"spectral", "oracle"}
+    for route in payload["routes"].values():
+        assert set(route) == set(exact)
+        pairs += [(np.array(route[key]), np.array(want)) for key, want in exact.items()]
+    for got, want in pairs:
+        assert np.shape(got) == np.shape(want)
+        assert (np.abs(got - want) <= 1e-14 * np.maximum(1, np.abs(want))).all()
 
 
 def test_verify_summary_lines():

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+import trispectra
+from trispectra import verify
 from trispectra.errors import (
     DisconnectedError,
     DuplicateEdgeError,
     EmptyGraphError,
+    GraphError,
     SelfLoopError,
 )
 from trispectra.graph import (
@@ -57,6 +60,9 @@ def test_duplicate_rejected():
 def test_empty_rejected():
     with pytest.raises(EmptyGraphError):
         build_graph(0, [])
+    # one node and no edges: no walk, and m = 0 in every 1/(2m)
+    with pytest.raises(EmptyGraphError):
+        build_graph(1, [])
 
 
 def test_degree_sum_is_2m(small_corpus):
@@ -123,6 +129,23 @@ def test_edge_list_comments_and_errors():
     assert g.n == 3 and g.m == 2
     with pytest.raises(EdgeListParseError, match="line 3"):
         parse_edge_list("3 2\n1 2\nbogus line\n")
+    assert issubclass(EdgeListParseError, GraphError)
+    assert trispectra.EdgeListParseError is EdgeListParseError
+
+
+def test_random_graph_retries_only_disconnected(monkeypatch):
+    """Only a disconnected draw is redrawn; any other error surfaces."""
+    calls = []
+
+    def reject_first(n, edges):
+        calls.append(n)
+        if len(calls) == 1:
+            raise SelfLoopError("injected")
+        return build_graph(n, edges)
+
+    monkeypatch.setattr(verify, "build_graph", reject_first)
+    with pytest.raises(SelfLoopError, match="injected"):
+        verify.random_connected_graph(np.random.default_rng(0), 6, False)
 
 
 def test_builtin_graphs():

@@ -105,6 +105,14 @@ def test_bad_arguments():
         pseudofractal_metrics(1, -1)
 
 
+def test_numpy_integer_q():
+    # q becomes a Python int, so the exact powers cannot overflow int64
+    assert pseudofractal_metrics(np.int64(1), 400) == pseudofractal_metrics(1, 400)
+    for bad in (True, 1.5):
+        with pytest.raises(InvalidQError):
+            pseudofractal_metrics(bad, 2)
+
+
 def test_large_k_exact_rationals_survive():
     # (2q+1)^{2k} exceeds double integer precision near k = 17 for q = 3;
     # the rational path must stay exact there

@@ -1,18 +1,42 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from trispectra.errors import SameNodeError
+import trispectra
 from trispectra.graph import build_graph, complete_graph, cycle_graph, path_graph
 from trispectra.metrics import (
     compute_metrics,
     hitting_oracle,
-    hitting_spectral,
+    hitting_spectral_matrix,
     kemeny,
     kirchhoff_indices,
     resistance_oracle,
-    resistance_spectral,
+    resistance_spectral_matrix,
 )
 from trispectra.spectral import eigendecompose
+
+
+def first_step_hitting(g):
+    """Reference hitting matrix by first-step analysis, one dense solve
+    per target j: h_i = 1 + sum_{u ~ i} h_u / d_i with h_j = 0."""
+    n = g.n
+    h = np.zeros((n, n))
+    for j in range(n):
+        a = np.eye(n) - g.transition_matrix()
+        a[j, :] = 0.0
+        a[j, j] = 1.0
+        b = np.ones(n)
+        b[j] = 0.0
+        h[:, j] = np.linalg.solve(a, b)
+    return h
+
+
+def k10_minus_four():
+    dropped = {(1, 10), (3, 4), (4, 5), (5, 6)}
+    return build_graph(10, [e for e in complete_graph(10).edges if e not in dropped])
 
 
 def test_hitting_oracle_small():
@@ -23,20 +47,22 @@ def test_hitting_oracle_small():
     assert hitting_oracle(path_graph(3))[0, 2] == pytest.approx(4.0, abs=1e-12)
 
 
+def test_hitting_oracle_matches_first_step(small_corpus):
+    graphs = [g for g, _ in small_corpus] + [k10_minus_four()]
+    for g in graphs:
+        want = first_step_hitting(g)
+        got = hitting_oracle(g)
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
 def test_hitting_spectral_matches():
     k3 = complete_graph(3)
-    assert hitting_spectral(eigendecompose(k3), k3, 1, 2) == pytest.approx(2.0)
+    assert hitting_spectral_matrix(eigendecompose(k3), k3)[0, 1] == pytest.approx(2.0)
     k2 = complete_graph(2)
     # bipartite branch with the +1 correction for opposite parts
-    assert hitting_spectral(eigendecompose(k2), k2, 1, 2) == pytest.approx(1.0)
+    assert hitting_spectral_matrix(eigendecompose(k2), k2)[0, 1] == pytest.approx(1.0)
     c4 = cycle_graph(4)
-    assert hitting_spectral(eigendecompose(c4), c4, 1, 3) == pytest.approx(4.0)
-
-
-def test_hitting_same_node_rejected():
-    k3 = complete_graph(3)
-    with pytest.raises(SameNodeError):
-        hitting_spectral(eigendecompose(k3), k3, 2, 2)
+    assert hitting_spectral_matrix(eigendecompose(c4), c4)[0, 2] == pytest.approx(4.0)
 
 
 def test_kemeny_values():
@@ -54,13 +80,14 @@ def test_kemeny_start_independence(small_corpus):
 
 def test_resistance_values():
     k2 = complete_graph(2)
-    assert resistance_spectral(eigendecompose(k2), k2, 1, 2) == pytest.approx(1.0)
+    assert resistance_spectral_matrix(eigendecompose(k2), k2)[0, 1] == pytest.approx(1.0)
     k3 = complete_graph(3)
     # series-parallel: 1 || (1+1) = 2/3
-    assert resistance_spectral(eigendecompose(k3), k3, 1, 2) == pytest.approx(2 / 3)
+    assert resistance_spectral_matrix(eigendecompose(k3), k3)[0, 1] == pytest.approx(2 / 3)
     p3 = path_graph(3)
-    assert resistance_spectral(eigendecompose(p3), p3, 1, 3) == pytest.approx(2.0)
-    assert resistance_spectral(eigendecompose(p3), p3, 2, 2) == 0.0
+    r = resistance_spectral_matrix(eigendecompose(p3), p3)
+    assert r[0, 2] == pytest.approx(2.0)
+    assert r[1, 1] == 0.0
 
 
 def test_routes_agree(small_corpus):
@@ -118,9 +145,20 @@ def test_multiplicative_is_2m_kemeny(small_corpus):
 def test_resistance_oracle_dense_graph():
     """K10 minus four edges: a pseudoinverse by thresholded eigenvalues
     keeps L's zero eigenvalue here; (L + J/n)^-1 - J/n does not."""
-    dropped = {(1, 10), (3, 4), (4, 5), (5, 6)}
-    g = build_graph(10, [e for e in complete_graph(10).edges if e not in dropped])
+    g = k10_minus_four()
     r = resistance_oracle(g)
     assert sum(r[i - 1, j - 1] for i, j in g.edges) == pytest.approx(g.n - 1, abs=1e-12)
     spectral = compute_metrics(g, "spectral").resistance
     assert np.abs(r - spectral).max() < 1e-12
+
+
+def test_import_leaves_out_scipy():
+    """The package needs numpy only; a fresh interpreter that imports it
+    must not have loaded scipy."""
+    src = str(Path(trispectra.__file__).parents[1])
+    code = f"import sys; sys.path.insert(0, {src!r}); import trispectra; " \
+        "print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

@@ -116,6 +116,26 @@ def test_invalid_refs():
         transfer_hitting(1, bad, NewNode(2, 3), OldNode(1))
 
 
+def test_non_integer_and_out_of_range_refs():
+    with pytest.raises(InvalidNodeRefError):
+        transfer_hitting(1, K2, OldNode(1.0), OldNode(2))
+    with pytest.raises(InvalidNodeRefError):
+        transfer_resistance(1, K2, OldNode(True), OldNode(2))
+    with pytest.raises(InvalidNodeRefError):
+        transfer_hitting(1, K2, NewNode(1, 2, copy=99), OldNode(1))
+    with pytest.raises(InvalidNodeRefError):
+        transfer_resistance(2, K2, NewNode(1, 2, copy=0), OldNode(1))
+    no_edge_set = GraphSummary(
+        n=2, m=1, kemeny=K2.kemeny, kirchhoff=K2.kirchhoff,
+        additive=K2.additive, multiplicative=K2.multiplicative,
+        hitting=K2.hitting, resistance=K2.resistance,
+    )
+    with pytest.raises(InvalidNodeRefError):
+        transfer_hitting(1, no_edge_set, NewNode(1, 3), OldNode(1))
+    # numpy integers are indices too
+    assert transfer_hitting(1, K2, OldNode(np.int64(1)), OldNode(2)) == 2
+
+
 def test_q_validation(k3_summary):
     with pytest.raises(InvalidQError):
         transfer_additive(0, k3_summary)

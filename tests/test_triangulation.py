@@ -1,5 +1,6 @@
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from trispectra.errors import InvalidQError
@@ -65,6 +66,14 @@ def test_invalid_q():
         q_triangulate(complete_graph(3), True)
     with pytest.raises(InvalidQError):
         predicted_counts(3, 3, -1, 2)
+    with pytest.raises(InvalidQError):
+        q_triangulate(complete_graph(3), 1.5)
+
+
+def test_numpy_integer_q():
+    tri = q_triangulate(complete_graph(3), np.int64(2))
+    assert type(tri.q) is int
+    assert tri.result.edges == q_triangulate(complete_graph(3), 2).result.edges
 
 
 def test_iterate_returns_all_steps():
