@@ -8,6 +8,7 @@ from .errors import (
     EdgeListParseError,
     EmptyGraphError,
     GraphError,
+    InvalidKError,
     InvalidNodeRefError,
     InvalidQError,
     SameNodeError,

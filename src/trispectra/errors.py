@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by all modules, and the q validator."""
+"""Exception hierarchy shared by all modules, and the validators of q,
+k and node indices."""
 
 from numbers import Integral
 
@@ -46,6 +47,23 @@ def check_q(q) -> int:
     if isinstance(q, bool) or not isinstance(q, Integral) or q < 1:
         raise InvalidQError(f"q must be a positive integer, got {q!r}")
     return int(q)
+
+
+class InvalidKError(TrispectraError):
+    """Iteration count k must be a non-negative integer."""
+
+
+def check_k(k) -> int:
+    """k as a Python int; raise InvalidKError unless k is a non-negative
+    integer.  numpy integers are accepted; bools are rejected."""
+    if isinstance(k, bool) or not isinstance(k, Integral) or k < 0:
+        raise InvalidKError(f"iteration count must be a non-negative integer, got {k!r}")
+    return int(k)
+
+
+def is_index(x, top: int) -> bool:
+    """True iff x is an integer (not a bool) in 1..top."""
+    return isinstance(x, Integral) and not isinstance(x, bool) and 1 <= x <= top
 
 
 class SameNodeError(TrispectraError):

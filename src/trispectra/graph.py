@@ -19,6 +19,7 @@ from .errors import (
     DuplicateEdgeError,
     EdgeListParseError,
     EmptyGraphError,
+    GraphError,
     SelfLoopError,
 )
 
@@ -127,7 +128,8 @@ def build_graph(n: int, edges) -> Graph:
     Raises
     ------
     EmptyGraphError (also for a single node without edges), SelfLoopError,
-    DuplicateEdgeError, DisconnectedError
+    DuplicateEdgeError, DisconnectedError, and GraphError itself for an
+    endpoint outside 1..n
     """
     if n < 1:
         raise EmptyGraphError(f"node count must be >= 1, got {n}")
@@ -138,7 +140,7 @@ def build_graph(n: int, edges) -> Graph:
         if i == j:
             raise SelfLoopError(f"self-loop at node {i}")
         if not (1 <= i <= n and 1 <= j <= n):
-            raise EmptyGraphError(f"edge ({i},{j}) has endpoint outside 1..{n}")
+            raise GraphError(f"edge ({i},{j}) has endpoint outside 1..{n}")
         e = (min(i, j), max(i, j))
         if e in seen:
             raise DuplicateEdgeError(f"duplicate edge {e}")

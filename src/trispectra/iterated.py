@@ -11,13 +11,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import InvalidQError, check_q
+from .errors import check_k, check_q
 from .transfer import GraphSummary
-
-
-def _check_k(k) -> None:
-    if not isinstance(k, int) or k < 0:
-        raise InvalidQError(f"iteration count must be a non-negative integer, got {k!r}")
 
 
 def _growth_powers(q: int, k: int):
@@ -33,7 +28,7 @@ def _growth_powers(q: int, k: int):
 def iterated_kemeny(summary: GraphSummary, q: int, k: int):
     """Kemeny's constant after k iterations."""
     q = check_q(q)
-    _check_k(k)
+    k = check_k(k)
     if k == 0:
         return summary.kemeny
     n, m = summary.n, summary.m
@@ -48,7 +43,7 @@ def iterated_kemeny(summary: GraphSummary, q: int, k: int):
 def iterated_multiplicative(summary: GraphSummary, q: int, k: int):
     """Multiplicative degree-Kirchhoff index after k iterations."""
     q = check_q(q)
-    _check_k(k)
+    k = check_k(k)
     if k == 0:
         return summary.multiplicative
     n, m = summary.n, summary.m
@@ -68,7 +63,7 @@ def iterated_multiplicative(summary: GraphSummary, q: int, k: int):
 def iterated_additive(summary: GraphSummary, q: int, k: int):
     """Additive degree-Kirchhoff index after k iterations."""
     q = check_q(q)
-    _check_k(k)
+    k = check_k(k)
     if k == 0:
         return summary.additive
     n, m = summary.n, summary.m
@@ -98,7 +93,7 @@ def iterated_additive(summary: GraphSummary, q: int, k: int):
 def iterated_kirchhoff(summary: GraphSummary, q: int, k: int):
     """Kirchhoff index after k iterations."""
     q = check_q(q)
-    _check_k(k)
+    k = check_k(k)
     if k == 0:
         return summary.kirchhoff
     n, m = summary.n, summary.m
@@ -153,7 +148,7 @@ def pseudofractal_metrics(q: int, k: int):
     """(Kemeny, multiplicative, additive, Kirchhoff) of the k-th
     pseudofractal web built with parameter q, as exact Fractions."""
     q = check_q(q)
-    _check_k(k)
+    k = check_k(k)
     a, b, c, e, _ = _growth_powers(q, k)
     tkm1 = Fraction(2 * q + 1) ** (k - 1)
     t2 = Fraction(2 * q + 1) ** (2 * k)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceFailure, InvalidQError, check_q
+from .errors import ConvergenceFailure, InvalidNodeRefError, check_q, is_index
 from .graph import Graph, is_bipartite
 
 #: singular values below RANK_CUTOFF * sigma_max count as zero; B has
@@ -180,18 +180,28 @@ def lift_spectrum(spec: Spectrum, g: Graph, q: int) -> LiftedSpectrum:
 def kernel_sum_residual(g: Graph, q: int, spec: Spectrum, new_node: int) -> float:
     """Residual of the kernel-sum identity at one new node of R_q(G).
 
-    For a new node j with generator endpoints {s, t}, the squared kernel
-    entries at j sum to 1 - 1/(mq) minus a spectral sum over the
-    nontrivial eigenvalues of G; this returns |LHS - RHS|.
+    The squared entries of an orthonormal basis of ker C at new node j
+    sum to the diagonal entry of the projector onto ker C,
+    1 - 1/q + (P_B)_ee / q, where P_B projects onto ker B and e is the
+    generator edge {s, t} of j.  The identity equates this with
+    1 - 1/(mq) minus a spectral sum over the nontrivial eigenvalues of
+    G; this returns |LHS - RHS|.  ker B comes from the same SVD helper
+    as kernel_basis and is checked to ||B N|| <= 1e-10.
     """
+    q = check_q(q)
     n, m = g.n, g.m
-    if not (n < new_node <= n + m * q):
-        raise InvalidQError(f"node {new_node} is not a new node of R_{q}(G)")
-    pos = new_node - n - 1          # 0-based position within the mq block
-    s, t = g.edges[pos % m]         # generator edge
+    if not (is_index(new_node, n + m * q) and new_node > n):
+        raise InvalidNodeRefError(f"node {new_node!r} is not a new node of R_{q}(G)")
+    e = (new_node - n - 1) % m      # generator edge of the node
+    s, t = g.edges[e]
 
-    basis = kernel_basis(g, q)
-    lhs = float(np.sum(basis[pos, :] ** 2))
+    b = g.incidence_matrix().astype(float)
+    null_b = _null_space(b)
+    if null_b.size:
+        worst = np.linalg.norm(b @ null_b, axis=0).max()
+        if worst > 1e-10:
+            raise ConvergenceFailure(f"ker B residual {worst:.3e} exceeds 1e-10")
+    lhs = 1.0 - 1.0 / q + float(null_b[e] @ null_b[e]) / q
 
     bipartite, _ = is_bipartite(g)
     upper = n - 1 if bipartite else n

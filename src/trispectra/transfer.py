@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Integral
 
-from .errors import InvalidNodeRefError, SameNodeError, check_q
+from .errors import InvalidNodeRefError, SameNodeError, check_q, is_index
 
 
 @dataclass(frozen=True)
@@ -78,22 +77,17 @@ class NewNode:
         return (min(self.s, self.t), max(self.s, self.t))
 
 
-def _is_index(x, top: int) -> bool:
-    """True iff x is an integer (not a bool) in 1..top."""
-    return isinstance(x, Integral) and not isinstance(x, bool) and 1 <= x <= top
-
-
 def _validate_ref(q: int, summary: GraphSummary, ref) -> None:
     if isinstance(ref, OldNode):
-        if not _is_index(ref.i, summary.n):
+        if not is_index(ref.i, summary.n):
             raise InvalidNodeRefError(f"old node {ref.i!r} outside 1..{summary.n}")
     elif isinstance(ref, NewNode):
-        ends_ok = _is_index(ref.s, summary.n) and _is_index(ref.t, summary.n)
+        ends_ok = is_index(ref.s, summary.n) and is_index(ref.t, summary.n)
         if not ends_ok or ref.s == ref.t:
             raise InvalidNodeRefError(
                 f"generator pair ({ref.s!r},{ref.t!r}) is not two distinct nodes of G"
             )
-        if not _is_index(ref.copy, q):
+        if not is_index(ref.copy, q):
             raise InvalidNodeRefError(f"copy {ref.copy!r} outside 1..{q}")
         if summary.edge_set is not None and ref.ends not in summary.edge_set:
             raise InvalidNodeRefError(

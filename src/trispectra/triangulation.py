@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidQError, check_q
+from .errors import check_k, check_q
 from .graph import Graph, build_graph
 
 
@@ -62,8 +62,7 @@ def q_triangulate(g: Graph, q: int) -> TriangulationResult:
 def iterate_triangulation(g: Graph, q: int, k: int) -> list:
     """Apply q-triangulation k times; element j is R_{q,j+1}(G)."""
     q = check_q(q)
-    if k < 0:
-        raise InvalidQError(f"iteration count must be >= 0, got {k}")
+    k = check_k(k)
     out = []
     current = g
     for _ in range(k):
@@ -80,7 +79,6 @@ def predicted_counts(n: int, m: int, q: int, k: int):
     is integral because (2q+1)^k - 1 is even.
     """
     q = check_q(q)
-    if k < 0:
-        raise InvalidQError(f"iteration count must be >= 0, got {k}")
+    k = check_k(k)
     growth = (2 * q + 1) ** k
     return m * (growth - 1) // 2 + n, growth * m

@@ -50,6 +50,14 @@ def test_triangulate_disconnected(tmp_path):
     assert code == 2
 
 
+def test_metrics_out_of_range_endpoint(tmp_path, capsys):
+    bad = tmp_path / "range.edges"
+    bad.write_text("3 1\n1 5\n")
+    code, _ = run_cli(["metrics", "--input", str(bad)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: GraphError: edge (1,5)")
+
+
 def test_metrics_k3_table():
     code, text = run_cli(["metrics", "--graph", "k3"])
     assert code == 0

@@ -65,6 +65,15 @@ def test_empty_rejected():
         build_graph(1, [])
 
 
+def test_out_of_range_endpoint_is_plain_graph_error():
+    # a bad endpoint is not an empty graph, so callers that catch
+    # EmptyGraphError must not see it
+    with pytest.raises(GraphError) as info:
+        build_graph(3, [(1, 5)])
+    assert type(info.value) is GraphError
+    assert not isinstance(info.value, EmptyGraphError)
+
+
 def test_degree_sum_is_2m(small_corpus):
     for g, _ in small_corpus:
         assert g.degrees.sum() == 2 * g.m

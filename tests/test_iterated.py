@@ -3,7 +3,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from trispectra.errors import InvalidQError
+import trispectra
+
+from trispectra.errors import InvalidKError, InvalidQError, check_k
 from trispectra.graph import complete_graph
 from trispectra.iterated import (
     TRIANGLE_BASE,
@@ -101,8 +103,29 @@ def test_leading_order_growth():
 def test_bad_arguments():
     with pytest.raises(InvalidQError):
         iterated_kemeny(TRIANGLE_BASE, 0, 1)
-    with pytest.raises(InvalidQError):
+    with pytest.raises(InvalidKError):
         pseudofractal_metrics(1, -1)
+
+
+def test_check_k():
+    assert trispectra.InvalidKError is InvalidKError
+    assert check_k(0) == 0
+    assert type(check_k(np.int64(3))) is int
+    for bad in (-1, True, 1.5, 2.0, "2", None):
+        with pytest.raises(InvalidKError):
+            check_k(bad)
+
+
+def test_numpy_integer_and_bad_k():
+    for fn in (iterated_kemeny, iterated_multiplicative, iterated_additive,
+               iterated_kirchhoff):
+        assert fn(TRIANGLE_BASE, 1, np.int64(2)) == fn(TRIANGLE_BASE, 1, 2)
+        for bad in (True, 1.5, -1):
+            with pytest.raises(InvalidKError):
+                fn(TRIANGLE_BASE, 1, bad)
+    assert pseudofractal_metrics(1, np.int64(2)) == pseudofractal_metrics(1, 2)
+    with pytest.raises(InvalidKError):
+        pseudofractal_metrics(1, False)
 
 
 def test_numpy_integer_q():

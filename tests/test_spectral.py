@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from trispectra.errors import InvalidQError
+from trispectra import spectral
+from trispectra.errors import ConvergenceFailure, InvalidNodeRefError, InvalidQError
 
 from trispectra.graph import complete_graph, cycle_graph, is_bipartite
 from trispectra.spectral import (
@@ -134,6 +135,67 @@ def test_kernel_sum_identity_random(small_corpus):
         spec = eigendecompose(g)
         for new_node in (g.n + 1, g.n + g.m * q):
             assert kernel_sum_residual(g, q, spec, new_node) < 1e-8
+
+
+def _identity_rhs(g, q, spec):
+    """1 - 1/(mq) minus the spectral sum of the kernel-sum identity, one
+    entry per generator edge of G."""
+    upper = g.n - 1 if is_bipartite(g)[0] else g.n
+    scaled = spec.eigenvectors[:, 1:upper] / np.sqrt(g.degrees)[:, None]
+    ends = np.array(g.edges) - 1
+    term = scaled[ends[:, 0]] + scaled[ends[:, 1]]
+    lam = spec.eigenvalues[1:upper]
+    return 1.0 - 1.0 / (g.m * q) - (term ** 2 / ((1.0 + lam) * q)).sum(axis=1)
+
+
+def test_kernel_sum_lhs_matches_basis_rows(small_corpus):
+    # every new node of every case and of its lift, against the
+    # squared row norm of the full ker C basis
+    cases = [(g, q) for g, q in small_corpus]
+    cases += [(q_triangulate(g, q).result, q) for g, q in small_corpus]
+    for g, q in cases:
+        spec = eigendecompose(g)
+        basis = kernel_basis(g, q)
+        rhs = _identity_rhs(g, q, spec)
+        for new_node in range(g.n + 1, g.n + g.m * q + 1):
+            pos = new_node - g.n - 1
+            old = abs(np.sum(basis[pos] ** 2) - rhs[pos % g.m])
+            new = kernel_sum_residual(g, q, spec, new_node)
+            assert abs(new - old) < 1e-12
+            assert new < 1e-10
+
+
+def test_kernel_sum_skips_kernel_basis(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("kernel_basis called")
+
+    monkeypatch.setattr(spectral, "kernel_basis", refuse)
+    g = cycle_graph(5)
+    assert kernel_sum_residual(g, 2, eigendecompose(g), 6) < 1e-12
+
+
+def test_kernel_sum_checks_null_space(monkeypatch):
+    # a "null space" that B does not annihilate must be caught
+    g = cycle_graph(5)
+    spec = eigendecompose(g)
+    monkeypatch.setattr(
+        spectral, "_null_space", lambda a: np.eye(a.shape[1])[:, :1]
+    )
+    with pytest.raises(ConvergenceFailure):
+        kernel_sum_residual(g, 2, spec, 6)
+
+
+def test_kernel_sum_input_contract():
+    k3 = complete_graph(3)
+    spec = eigendecompose(k3)
+    for bad in (2, 3, 7, 4.0, True, "4", None):
+        with pytest.raises(InvalidNodeRefError):
+            kernel_sum_residual(k3, 1, spec, bad)
+    for bad_q in (1.5, 0, True):
+        with pytest.raises(InvalidQError):
+            kernel_sum_residual(k3, bad_q, spec, 4)
+    assert kernel_sum_residual(k3, 1, spec, np.int64(4)) < 1e-12
+    assert kernel_sum_residual(k3, np.int64(2), spec, 9) < 1e-12
 
 
 def test_lift_rejects_non_integer_q():

@@ -3,7 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from trispectra.errors import InvalidQError
+from trispectra.errors import InvalidKError, InvalidQError
 from trispectra.graph import build_graph, complete_graph
 from trispectra.triangulation import (
     iterate_triangulation,
@@ -74,6 +74,17 @@ def test_numpy_integer_q():
     tri = q_triangulate(complete_graph(3), np.int64(2))
     assert type(tri.q) is int
     assert tri.result.edges == q_triangulate(complete_graph(3), 2).result.edges
+
+
+def test_invalid_k():
+    k3 = complete_graph(3)
+    for bad in (1.5, -1, True):
+        with pytest.raises(InvalidKError):
+            iterate_triangulation(k3, 1, bad)
+        with pytest.raises(InvalidKError):
+            predicted_counts(3, 3, 1, bad)
+    assert predicted_counts(3, 3, 1, np.int64(2)) == predicted_counts(3, 3, 1, 2)
+    assert len(iterate_triangulation(k3, 1, np.int64(2))) == 2
 
 
 def test_iterate_returns_all_steps():
