@@ -69,9 +69,6 @@ class Graph:
         """Neighbor set of node i (1-based)."""
         return self._adjacency_sets[i - 1]
 
-    def has_edge(self, i: int, j: int) -> bool:
-        return j in self._adjacency_sets[i - 1]
-
     @cached_property
     def edge_index(self) -> dict:
         """Map (min, max) endpoint pair -> 1-based canonical edge index."""

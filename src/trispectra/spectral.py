@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceFailure, InvalidNodeRefError, check_q, is_index
+from .errors import ConvergenceFailure, check_q
 from .graph import Graph, is_bipartite
 
 #: singular values below RANK_CUTOFF * sigma_max count as zero; B has
@@ -36,8 +36,6 @@ class Spectrum:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    n: int
-    m: int
 
 
 @dataclass(frozen=True)
@@ -50,7 +48,6 @@ class LiftedSpectrum:
     """
 
     spectrum: Spectrum
-    q: int
     delta: np.ndarray
     branches: tuple
     kernel_dim: int
@@ -77,7 +74,7 @@ def eigendecompose(g: Graph) -> Spectrum:
         )
     vals.setflags(write=False)
     vecs.setflags(write=False)
-    return Spectrum(eigenvalues=vals, eigenvectors=vecs, n=g.n, m=g.m)
+    return Spectrum(eigenvalues=vals, eigenvectors=vecs)
 
 
 def _null_space(a: np.ndarray) -> np.ndarray:
@@ -170,44 +167,39 @@ def lift_spectrum(spec: Spectrum, g: Graph, q: int) -> LiftedSpectrum:
 
     vals.setflags(write=False)
     mat.setflags(write=False)
-    lifted = Spectrum(eigenvalues=vals, eigenvectors=mat, n=nt, m=m * (2 * q + 1))
     return LiftedSpectrum(
-        spectrum=lifted, q=q, delta=deltas, branches=branches,
-        kernel_dim=expected_dim,
+        spectrum=Spectrum(eigenvalues=vals, eigenvectors=mat),
+        delta=deltas, branches=branches, kernel_dim=expected_dim,
     )
 
 
-def kernel_sum_residual(g: Graph, q: int, spec: Spectrum, new_node: int) -> float:
-    """Residual of the kernel-sum identity at one new node of R_q(G).
+def kernel_sum_residual(g: Graph, q: int, spec: Spectrum) -> np.ndarray:
+    """Residuals of the kernel-sum identity at every generator edge of G.
 
-    The squared entries of an orthonormal basis of ker C at new node j
-    sum to the diagonal entry of the projector onto ker C,
+    The squared entries of an orthonormal basis of ker C at a new node of
+    R_q(G) sum to the diagonal entry of the projector onto ker C,
     1 - 1/q + (P_B)_ee / q, where P_B projects onto ker B and e is the
-    generator edge {s, t} of j.  The identity equates this with
-    1 - 1/(mq) minus a spectral sum over the nontrivial eigenvalues of
-    G; this returns |LHS - RHS|.  ker B comes from the same SVD helper
-    as kernel_basis and is checked to ||B N|| <= 1e-10.
+    node's generator edge {s, t}; it does not depend on the node's copy.
+    The identity equates this with 1 - 1/(mq) minus a spectral sum over
+    the nontrivial eigenvalues of G.  Returns |LHS - RHS| of shape (m,),
+    entry e - 1 for edge e, so new node x reads entry (x - n - 1) % m.
+    ker B comes from the same SVD helper as kernel_basis and is checked
+    to ||B N|| <= 1e-10.
     """
     q = check_q(q)
-    n, m = g.n, g.m
-    if not (is_index(new_node, n + m * q) and new_node > n):
-        raise InvalidNodeRefError(f"node {new_node!r} is not a new node of R_{q}(G)")
-    e = (new_node - n - 1) % m      # generator edge of the node
-    s, t = g.edges[e]
-
     b = g.incidence_matrix().astype(float)
     null_b = _null_space(b)
     if null_b.size:
         worst = np.linalg.norm(b @ null_b, axis=0).max()
         if worst > 1e-10:
             raise ConvergenceFailure(f"ker B residual {worst:.3e} exceeds 1e-10")
-    lhs = 1.0 - 1.0 / q + float(null_b[e] @ null_b[e]) / q
+    lhs = 1.0 - 1.0 / q + (null_b ** 2).sum(axis=1) / q
 
     bipartite, _ = is_bipartite(g)
-    upper = n - 1 if bipartite else n
-    d = np.sqrt(g.degrees)
-    v = spec.eigenvectors[:, 1:upper]
-    term = v[s - 1] / d[s - 1] + v[t - 1] / d[t - 1]
+    upper = g.n - 1 if bipartite else g.n
+    scaled = spec.eigenvectors[:, 1:upper] / np.sqrt(g.degrees)[:, None]
+    ends = np.array(g.edges) - 1
+    term = scaled[ends[:, 0]] + scaled[ends[:, 1]]
     lam = spec.eigenvalues[1:upper]
-    rhs = 1.0 - 1.0 / (m * q) - np.sum(term ** 2 / ((1.0 + lam) * q))
-    return abs(lhs - rhs)
+    rhs = 1.0 - 1.0 / (g.m * q) - (term ** 2 / ((1.0 + lam) * q)).sum(axis=1)
+    return np.abs(lhs - rhs)

@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import iterated, metrics, spectral, transfer
-from .errors import DisconnectedError
+from .errors import DisconnectedError, TrispectraError, check_q
 from .graph import Graph, build_graph, complete_graph, is_bipartite, path_graph
 from .triangulation import q_triangulate
 
@@ -134,11 +134,18 @@ def random_connected_graph(rng, nmax: int, bipartite: bool) -> Graph:
 def make_corpus(seed: int, trials: int, nmax: int, qmax: int,
                 bipartite_fraction: float = 0.4):
     """Deterministic list of (graph, q) trial cases; at least
-    ``bipartite_fraction`` of the graphs are bipartite by construction."""
+    ``bipartite_fraction`` of the graphs are bipartite by construction.
+    Raises TrispectraError unless trials >= 1, nmax >= 3 and qmax is a
+    valid q."""
+    qmax = check_q(qmax)
+    if trials < 1 or nmax < 3:
+        raise TrispectraError(
+            f"corpus needs trials >= 1 and nmax >= 3, got trials={trials}, nmax={nmax}"
+        )
     rng = np.random.default_rng(seed)
     cases = []
     for trial in range(trials):
-        bip = (trial / max(trials, 1)) < bipartite_fraction
+        bip = trial / trials < bipartite_fraction
         g = random_connected_graph(rng, nmax, bip)
         q = trial % qmax + 1
         cases.append((g, q))
@@ -185,23 +192,19 @@ def transfer_checks(g: Graph, q: int) -> list:
     res = metrics.resistance_oracle(r)
     hit_t, res_t = transfer.transfer_hitting, transfer.transfer_resistance
     n = g.n
-    i, j = 1, min(2, n)
     e2 = g.m  # a different generator edge when m > 1
     x1 = tri.new_node_index(1, 1)
     x2 = tri.new_node_index(e2, q)
-    old_i, old_j = transfer.OldNode(i), transfer.OldNode(j)
+    # build_graph guarantees m >= 1, so nodes 1 and 2 exist
+    old_1, old_2 = transfer.OldNode(1), transfer.OldNode(2)
     a_new = transfer.NewNode(*g.edges[0], 1)
     b_new = transfer.NewNode(*g.edges[e2 - 1], q)
-    rows = []
-    if i != j:
-        rows += [
-            ("hit old/old", hit_t(q, summ, old_i, old_j), hit[i - 1, j - 1]),
-            ("res old/old", res_t(q, summ, old_i, old_j), res[i - 1, j - 1]),
-        ]
-    rows += [
-        ("hit new/old", hit_t(q, summ, a_new, old_j), hit[x1 - 1, j - 1]),
-        ("hit old/new", hit_t(q, summ, old_j, a_new), hit[j - 1, x1 - 1]),
-        ("res new/old", res_t(q, summ, a_new, old_j), res[x1 - 1, j - 1]),
+    rows = [
+        ("hit old/old", hit_t(q, summ, old_1, old_2), hit[0, 1]),
+        ("res old/old", res_t(q, summ, old_1, old_2), res[0, 1]),
+        ("hit new/old", hit_t(q, summ, a_new, old_2), hit[x1 - 1, 1]),
+        ("hit old/new", hit_t(q, summ, old_2, a_new), hit[1, x1 - 1]),
+        ("res new/old", res_t(q, summ, a_new, old_2), res[x1 - 1, 1]),
     ]
     if x1 != x2:
         rows += [
@@ -231,7 +234,9 @@ def suite_transfer(cases, tol: float):
 
 def suite_identities(cases, tol: float):
     """Foster's theorem, 2m r = T_ij + T_ji, multiplicative index =
-    2m K, and the kernel-sum identity, on G and on R_q(G)."""
+    2m K, and the kernel-sum identity, on G and on R_q(G).  The
+    kernel-sum check is the worst residual over every generator edge,
+    so it covers every new node of a further q-triangulation."""
     checks = []
     for g, q in cases:
         tri = q_triangulate(g, q)
@@ -248,11 +253,9 @@ def suite_identities(cases, tol: float):
                 ("reciprocity", np.abs(2 * graph.m * res - (hit + hit.T)).max(), 0.0),
                 ("mult=2mK", 2 * graph.m * kem, mul),
                 ("kemeny start-independence", np.abs(hit @ pi - kem).max(), 0.0),
-            ] + [
-                # kernel-sum identity with this graph as the base of a
-                # further q-triangulation
-                ("kernel-sum", spectral.kernel_sum_residual(graph, q, spec, x), 0.0)
-                for x in (graph.n + 1, graph.n + graph.m * q)
+                # kernel-sum identity at every generator edge, with this
+                # graph as the base of a further q-triangulation
+                ("kernel-sum", spectral.kernel_sum_residual(graph, q, spec).max(), 0.0),
             ]
             checks += [Check(f"{kind} {tag}", got, want, (g, q)) for kind, got, want in rows]
     return SuiteResult("identity-suite", tol, checks)

@@ -202,7 +202,7 @@ def test_verify_summary_lines():
     assert rows == [
         ("spectrum-lift", "1.0e-08", "8"),
         ("transfer-vs-oracle", "1.0e-08", "56"),
-        ("identity-suite", "1.0e-08", "48"),
+        ("identity-suite", "1.0e-08", "40"),
         ("iterated-telescoping", "1.0e-10", "336"),
     ]
 
@@ -241,3 +241,13 @@ def test_pseudofractal_overflow_is_input_error(capsys):
     assert code == 2 and text == ""
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "k=322" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--nmax", "2"), ("--nmax", "1"), ("--qmax", "0"), ("--qmax", "-1"), ("--trials", "0"),
+])
+def test_verify_bad_corpus_flags(flag, value, capsys):
+    code, text = run_cli(["verify", "--trials", "2", flag, value])
+    assert code == 2 and text == ""
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and "Traceback" not in err
