@@ -7,6 +7,7 @@ from .errors import (
     DuplicateEdgeError,
     EdgeListParseError,
     EmptyGraphError,
+    FloatOverflowError,
     GraphError,
     InvalidKError,
     InvalidNodeRefError,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 
@@ -54,6 +53,43 @@ def _f12(x) -> str:
     return f"{float(x):.12g}"
 
 
+def _write_json(payload, out) -> None:
+    """Write what ``json.dump(payload, out, indent=2)`` and a newline
+    write, byte for byte, with every ndarray in ``payload`` in place of
+    its ``tolist()``.  ``indent`` forces json's pure-Python encoder, so
+    the arrays are left out of that pass and streamed one row at a time
+    through the C encoder instead."""
+    arrays = []
+
+    def slot(a):
+        arrays.append(a)
+        return "\0"  # no string of a payload holds a NUL
+
+    head, *tails = json.dumps(payload, indent=2, default=slot).split(json.dumps("\0"))
+    out.write(head)
+    for a, tail, before in zip(arrays, tails, [head, *tails]):
+        line = before[before.rfind("\n") + 1:]
+        _write_array(a, out, line[: len(line) - len(line.lstrip(" "))])
+        out.write(tail)
+    out.write("\n")
+
+
+def _write_array(a, out, pad: str) -> None:
+    """``a`` as json's ``indent=2`` layout writes ``a.tolist()`` on a
+    line indented by ``pad``; each 1-D row is one C-encoder call."""
+    inner = pad + "  "
+    if len(a) == 0:
+        out.write("[]")
+    elif a.ndim == 1:
+        row = json.dumps(a.tolist())[1:-1].replace(", ", ",\n" + inner)
+        out.write(f"[\n{inner}{row}\n{pad}]")
+    else:
+        for i, sub in enumerate(a):
+            out.write(("," if i else "[") + "\n" + inner)
+            _write_array(sub, out, inner)
+        out.write(f"\n{pad}]")
+
+
 # ---- subcommands ------------------------------------------------------
 
 
@@ -94,11 +130,10 @@ def cmd_metrics(args, out) -> int:
                 "kirchhoff": rep.kirchhoff,
                 "additive": rep.additive,
                 "multiplicative": rep.multiplicative,
-                "hitting": rep.hitting.tolist(),
-                "resistance": rep.resistance.tolist(),
+                "hitting": rep.hitting,
+                "resistance": rep.resistance,
             }
-        json.dump(payload, out, indent=2)
-        out.write("\n")
+        _write_json(payload, out)
     elif args.format == "csv":
         for name, mat in (
             ("hitting", oracle_report.hitting),
@@ -128,16 +163,15 @@ def cmd_spectrum(args, out) -> int:
     if args.q:
         lifted = lift_spectrum(spec, g, args.q)
         payload = {
-            "eigenvalues": lifted.spectrum.eigenvalues.tolist(),
+            "eigenvalues": lifted.spectrum.eigenvalues,
             "branch": list(lifted.branches),
         }
     else:
         payload = {
-            "eigenvalues": spec.eigenvalues.tolist(),
+            "eigenvalues": spec.eigenvalues,
             "branch": ["input"] * g.n,
         }
-    json.dump(payload, out, indent=2)
-    out.write("\n")
+    _write_json(payload, out)
     return EXIT_OK
 
 
@@ -153,7 +187,7 @@ def cmd_transfer(args, out) -> int:
 def cmd_verify(args, out) -> int:
     if args.graph or args.input:
         g = _load_graph(args)
-        results = verify.run_single(g, args.q or 1)
+        results = verify.run_single(g, args.q)
     else:
         results = verify.run_all(
             seed=args.seed, trials=args.trials, nmax=args.nmax, qmax=args.qmax
@@ -191,8 +225,7 @@ def cmd_pseudofractal(args, out) -> int:
             }
             for k, n, m, kem, mul, add, kir in rows
         ]
-        json.dump(payload, out, indent=2)
-        out.write("\n")
+        _write_json(payload, out)
     elif args.format == "csv":
         w = csv.writer(out)
         w.writerow(header)
@@ -248,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the cross-validation suites")
     _add_graph_args(p)
-    p.add_argument("--q", type=int, default=0)
+    p.add_argument("--q", type=int, default=1, help="q for --graph/--input")
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--trials", type=int, default=30)
     p.add_argument("--nmax", type=int, default=10)

@@ -66,6 +66,10 @@ def is_index(x, top: int) -> bool:
     return isinstance(x, Integral) and not isinstance(x, bool) and 1 <= x <= top
 
 
+class FloatOverflowError(TrispectraError):
+    """A closed form on float values left the float range."""
+
+
 class SameNodeError(TrispectraError):
     """Hitting time requested from a node to itself."""
 

@@ -9,10 +9,28 @@ value.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
-from .errors import check_k, check_q
+from .errors import FloatOverflowError, check_k, check_q
 from .transfer import GraphSummary
+
+
+def _float_range(closed_form):
+    """Turn the bare OverflowError that a float summary meets, when an
+    exact coefficient outgrows the float range, into FloatOverflowError
+    naming the closed form, q and k.  Exact summaries never raise it."""
+
+    @functools.wraps(closed_form)
+    def wrapper(summary, q, k):
+        try:
+            return closed_form(summary, q, k)
+        except OverflowError:
+            raise FloatOverflowError(
+                f"{closed_form.__name__} at q={q}, k={k} exceeds the float range"
+            ) from None
+
+    return wrapper
 
 
 def _growth_powers(q: int, k: int):
@@ -25,6 +43,7 @@ def _growth_powers(q: int, k: int):
     return a, b, c, e, t
 
 
+@_float_range
 def iterated_kemeny(summary: GraphSummary, q: int, k: int):
     """Kemeny's constant after k iterations."""
     q = check_q(q)
@@ -40,6 +59,7 @@ def iterated_kemeny(summary: GraphSummary, q: int, k: int):
     )
 
 
+@_float_range
 def iterated_multiplicative(summary: GraphSummary, q: int, k: int):
     """Multiplicative degree-Kirchhoff index after k iterations."""
     q = check_q(q)
@@ -60,6 +80,7 @@ def iterated_multiplicative(summary: GraphSummary, q: int, k: int):
     )
 
 
+@_float_range
 def iterated_additive(summary: GraphSummary, q: int, k: int):
     """Additive degree-Kirchhoff index after k iterations."""
     q = check_q(q)
@@ -90,6 +111,7 @@ def iterated_additive(summary: GraphSummary, q: int, k: int):
     )
 
 
+@_float_range
 def iterated_kirchhoff(summary: GraphSummary, q: int, k: int):
     """Kirchhoff index after k iterations."""
     q = check_q(q)

@@ -318,4 +318,4 @@ def run_all(seed: int = 7, trials: int = 30, nmax: int = 10, qmax: int = 3):
 
 def run_single(g: Graph, q: int):
     """Run the graph-based suites on a single (graph, q) case."""
-    return _graph_suites([(g, q)], tolerances())
+    return _graph_suites([(g, check_q(q))], tolerances())

@@ -6,9 +6,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from trispectra.cli import main
-from trispectra.graph import cycle_graph
+from trispectra.cli import _write_json, main
+from trispectra.graph import build_graph, complete_graph, cycle_graph, format_edge_list
+from trispectra.iterated import pseudofractal_metrics
 from trispectra.metrics import compute_metrics
+from trispectra.spectral import eigendecompose, lift_spectrum
+from trispectra.triangulation import iterate_triangulation, predicted_counts
+from trispectra.verify import make_corpus
 
 
 def run_cli(argv):
@@ -251,3 +255,122 @@ def test_verify_bad_corpus_flags(flag, value, capsys):
     assert code == 2 and text == ""
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("q", ["0", "-1"])
+def test_verify_bad_q(q, capsys):
+    code, text = run_cli(["verify", "--graph", "k3", "--q", q])
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err == (
+        f"error: InvalidQError: q must be a positive integer, got {q}\n"
+    )
+
+
+def test_verify_q_defaults_to_1():
+    assert run_cli(["verify", "--graph", "k3"]) == run_cli(["verify", "--graph", "k3", "--q", "1"])
+
+
+# ---- JSON output: the indent=2 layout of json.dumps, byte for byte ----
+
+
+def _indent2(payload) -> str:
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def _assert_same_text(got: str, want: str):
+    """got == want, reported by the first differing offset: pytest's own
+    diff of two texts of some 100 kB takes minutes."""
+    if got != want:
+        at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), len(want))
+        pytest.fail(f"texts differ from offset {at}: {got[at:at + 40]!r} vs {want[at:at + 40]!r}")
+
+
+def _metrics_reference(g) -> str:
+    """`metrics --format json` as json.dumps(indent=2) writes it, from
+    the library's reports with every matrix as nested lists."""
+    spec, oracle = (compute_metrics(g, route) for route in ("spectral", "oracle"))
+    max_dev = max(
+        np.abs(spec.hitting - oracle.hitting).max(),
+        np.abs(spec.resistance - oracle.resistance).max(),
+        abs(spec.kemeny - oracle.kemeny),
+    )
+    return _indent2({
+        "n": g.n,
+        "m": g.m,
+        "routes": {
+            rep.route: {
+                "kemeny": rep.kemeny,
+                "kirchhoff": rep.kirchhoff,
+                "additive": rep.additive,
+                "multiplicative": rep.multiplicative,
+                "hitting": rep.hitting.tolist(),
+                "resistance": rep.resistance.tolist(),
+            }
+            for rep in (spec, oracle)
+        },
+        "max_route_deviation": float(max_dev),
+        "foster_edge_sum": float(sum(oracle.resistance[i - 1, j - 1] for i, j in g.edges)),
+    })
+
+
+def _relabelled_web():
+    """R_{1,3}(K3), n = 42, with its nodes shuffled."""
+    web = iterate_triangulation(complete_graph(3), 1, 3)[-1].result
+    perm = np.random.default_rng(3).permutation(web.n) + 1
+    return build_graph(web.n, [(perm[i - 1], perm[j - 1]) for i, j in web.edges])
+
+
+@pytest.mark.parametrize("which", ["cycle5", "corpus", "web"])
+def test_metrics_json_is_indent2_layout(which, tmp_path):
+    if which == "cycle5":
+        g, source = cycle_graph(5), ["--graph", "cycle:5"]
+    else:
+        g = make_corpus(19, 1, 10, 1)[0][0] if which == "corpus" else _relabelled_web()
+        path = tmp_path / "g.edges"
+        path.write_text(format_edge_list(g))
+        source = ["--input", str(path)]
+    code, text = run_cli(["metrics", *source, "--format", "json"])
+    assert code == 0
+    _assert_same_text(text, _metrics_reference(g))
+
+
+def _written(payload) -> str:
+    out = io.StringIO()
+    _write_json(payload, out)
+    return out.getvalue()
+
+
+def test_write_json_non_finite_and_small_arrays():
+    odd = np.array([[float("nan"), float("inf")], [-float("inf"), -0.0], [0.0, 1e-300]])
+    assert _written({"odd": odd}) == _indent2({"odd": odd.tolist()})
+    assert _written(np.array([[-0.0]])) == _indent2([[-0.0]])
+    nested = {
+        "list": [np.arange(3.0), {"deep": np.ones((2, 1, 2))}],
+        "empty": [np.zeros(0), np.zeros((2, 0))],
+        "scalars": [float("nan"), -0.0, 1, "text", None, True],
+    }
+    assert _written(nested) == _indent2({
+        "list": [[0.0, 1.0, 2.0], {"deep": [[[1.0, 1.0]], [[1.0, 1.0]]]}],
+        "empty": [[], [[], []]],
+        "scalars": nested["scalars"],
+    })
+
+
+def test_spectrum_and_pseudofractal_json_unchanged(tmp_path):
+    g = _relabelled_web()
+    path = tmp_path / "web.edges"
+    path.write_text(format_edge_list(g))
+    code, text = run_cli(["spectrum", "--input", str(path), "--q", "2"])
+    lifted = lift_spectrum(eigendecompose(g), g, 2)
+    assert code == 0
+    assert text == _indent2({
+        "eigenvalues": lifted.spectrum.eigenvalues.tolist(),
+        "branch": list(lifted.branches),
+    })
+    code, text = run_cli(["pseudofractal", "--q", "2", "--kmax", "12", "--format", "json"])
+    keys = ("k", "n", "m", "kemeny", "multiplicative", "additive", "kirchhoff")
+    assert code == 0
+    assert text == _indent2([
+        dict(zip(keys, (k, *predicted_counts(3, 3, 2, k), *map(float, pseudofractal_metrics(2, k)))))
+        for k in range(13)
+    ])

@@ -107,6 +107,29 @@ def test_bad_arguments():
         pseudofractal_metrics(1, -1)
 
 
+@pytest.mark.parametrize("fn, k", [
+    (iterated_kirchhoff, 400),
+    (iterated_additive, 400),
+    (iterated_multiplicative, 400),
+    (iterated_kemeny, 1000),
+])
+def test_float_overflow_is_typed(fn, k):
+    """A float summary whose closed form outgrows the float range raises
+    FloatOverflowError naming the function, q and k; the exact summary
+    at the same point still gives a Fraction, and a float one at small k
+    still gives a float."""
+    base = GraphSummary(
+        n=3, m=3, kemeny=4 / 3, kirchhoff=2.0, additive=8.0, multiplicative=8.0
+    )
+    with pytest.raises(trispectra.FloatOverflowError) as info:
+        fn(base, 1, k)
+    assert isinstance(info.value, trispectra.TrispectraError)
+    assert str(info.value) == f"{fn.__name__} at q=1, k={k} exceeds the float range"
+    assert info.value.__cause__ is None
+    assert type(fn(TRIANGLE_BASE, 1, k)) is Fraction
+    assert float(fn(base, 1, 5)) == pytest.approx(float(fn(TRIANGLE_BASE, 1, 5)), rel=1e-12)
+
+
 def test_check_k():
     assert trispectra.InvalidKError is InvalidKError
     assert check_k(0) == 0
