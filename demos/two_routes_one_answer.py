@@ -44,8 +44,8 @@ rows = [
         "resistance new{1,2} <-> new{3,4}",
         float(transfer_resistance(q, summary, NewNode(1, 2), NewNode(3, 4))),
         rep.resistance[
-            tri.new_node_index(g.edge_index[(1, 2)], 1) - 1,
-            tri.new_node_index(g.edge_index[(3, 4)], 1) - 1,
+            tri.new_node_index(g.edges.index((1, 2)) + 1, 1) - 1,
+            tri.new_node_index(g.edges.index((3, 4)) + 1, 1) - 1,
         ],
     ),
 ]

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import verify
-from .errors import ConvergenceFailure, EdgeListParseError, TrispectraError
+from .errors import ConvergenceFailure, EdgeListParseError, TrispectraError, check_k
 from .graph import builtin_graph, format_edge_list, parse_edge_list
 from .iterated import pseudofractal_metrics
 from .metrics import compute_metrics
@@ -160,7 +160,7 @@ def cmd_metrics(args, out) -> int:
 def cmd_spectrum(args, out) -> int:
     g = _load_graph(args)
     spec = eigendecompose(g)
-    if args.q:
+    if args.q is not None:
         lifted = lift_spectrum(spec, g, args.q)
         payload = {
             "eigenvalues": lifted.spectrum.eigenvalues,
@@ -186,8 +186,11 @@ def cmd_transfer(args, out) -> int:
 
 def cmd_verify(args, out) -> int:
     if args.graph or args.input:
-        g = _load_graph(args)
-        results = verify.run_single(g, args.q)
+        results = verify.run_single(_load_graph(args), 1 if args.q is None else args.q)
+    elif args.q is not None:
+        raise CliInputError(
+            "--q applies only with --graph or --input; the corpus cycles q over 1..--qmax"
+        )
     else:
         results = verify.run_all(
             seed=args.seed, trials=args.trials, nmax=args.nmax, qmax=args.qmax
@@ -207,7 +210,7 @@ def cmd_verify(args, out) -> int:
 
 def cmd_pseudofractal(args, out) -> int:
     rows = []
-    for k in range(args.kmax + 1):
+    for k in range(check_k(args.kmax) + 1):
         try:
             values = [float(x) for x in pseudofractal_metrics(args.q, k)]
         except OverflowError:
@@ -215,32 +218,19 @@ def cmd_pseudofractal(args, out) -> int:
                 f"values at k={k} exceed the float range; use --kmax {k - 1} or less"
             ) from None
         rows.append((k, *predicted_counts(3, 3, args.q, k), *values))
-    header = ("k", "n", "m", "kemeny", "multiplicative", "additive", "kirchhoff")
+    names, widths = zip(
+        ("k", 3), ("n", 10), ("m", 10), ("kemeny", 18),
+        ("multiplicative", 18), ("additive", 18), ("kirchhoff", 18),
+    )
     if args.format == "json":
-        payload = [
-            {
-                "k": k, "n": n, "m": m,
-                "kemeny": kem, "multiplicative": mul,
-                "additive": add, "kirchhoff": kir,
-            }
-            for k, n, m, kem, mul, add, kir in rows
-        ]
-        _write_json(payload, out)
-    elif args.format == "csv":
-        w = csv.writer(out)
-        w.writerow(header)
-        for k, n, m, kem, mul, add, kir in rows:
-            w.writerow([k, n, m, _f12(kem), _f12(mul), _f12(add), _f12(kir)])
+        _write_json([dict(zip(names, row)) for row in rows], out)
+        return EXIT_OK
+    cells = [names] + [(*row[:3], *map(_f12, row[3:])) for row in rows]
+    if args.format == "csv":
+        csv.writer(out).writerows(cells)
     else:
-        out.write(
-            f"{'k':>3}{'n':>10}{'m':>10}{'kemeny':>18}"
-            f"{'multiplicative':>18}{'additive':>18}{'kirchhoff':>18}\n"
-        )
-        for k, n, m, kem, mul, add, kir in rows:
-            out.write(
-                f"{k:>3}{n:>10}{m:>10}{_f12(kem):>18}"
-                f"{_f12(mul):>18}{_f12(add):>18}{_f12(kir):>18}\n"
-            )
+        for row in cells:
+            out.write("".join(f"{x:>{w}}" for x, w in zip(row, widths)) + "\n")
     return EXIT_OK
 
 
@@ -271,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="spectrum of P, or of P(R_q(G)) via the lift")
     _add_graph_args(p)
-    p.add_argument("--q", type=int, default=0)
+    p.add_argument("--q", type=int, help="lift to R_q(G); q >= 1")
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("transfer", help="transfer formulas vs oracle, side by side")
@@ -281,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the cross-validation suites")
     _add_graph_args(p)
-    p.add_argument("--q", type=int, default=1, help="q for --graph/--input")
+    p.add_argument("--q", type=int, help="q for --graph/--input (default 1)")
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--trials", type=int, default=30)
     p.add_argument("--nmax", type=int, default=10)

@@ -48,12 +48,16 @@ class Graph:
         return len(self.edges)
 
     @cached_property
+    def _ends(self) -> np.ndarray:
+        """(m, 2) array of 0-based edge endpoints, row e-1 for edge e."""
+        ends = np.array(self.edges, dtype=np.int64).reshape(-1, 2) - 1
+        ends.setflags(write=False)
+        return ends
+
+    @cached_property
     def degrees(self) -> np.ndarray:
         """Degree vector; ``degrees[i-1]`` is the degree of node i."""
-        d = np.zeros(self.n, dtype=np.int64)
-        for i, j in self.edges:
-            d[i - 1] += 1
-            d[j - 1] += 1
+        d = np.bincount(self._ends.ravel(), minlength=self.n)
         d.setflags(write=False)
         return d
 
@@ -70,22 +74,30 @@ class Graph:
         return self._adjacency_sets[i - 1]
 
     @cached_property
-    def edge_index(self) -> dict:
-        """Map (min, max) endpoint pair -> 1-based canonical edge index."""
-        return {e: k + 1 for k, e in enumerate(self.edges)}
+    def _colours(self) -> np.ndarray:
+        """BFS 2-colouring from node 1: 0 or 1 for each node reached,
+        alternating along BFS tree edges, and -1 for each node not reached."""
+        colour = [-1] * (self.n + 1)
+        colour[1] = 0
+        frontier = deque([1])
+        while frontier:
+            u = frontier.popleft()
+            for v in self.neighbors(u):
+                if colour[v] < 0:
+                    colour[v] = 1 - colour[u]
+                    frontier.append(v)
+        colours = np.array(colour[1:])
+        colours.setflags(write=False)
+        return colours
 
     # ---- matrix views -------------------------------------------------
 
     def adjacency_matrix(self) -> np.ndarray:
         """Dense n x n 0/1 adjacency matrix (integer)."""
         a = np.zeros((self.n, self.n), dtype=np.int64)
-        for i, j in self.edges:
-            a[i - 1, j - 1] = 1
-            a[j - 1, i - 1] = 1
+        a[self._ends[:, 0], self._ends[:, 1]] = 1
+        a[self._ends[:, 1], self._ends[:, 0]] = 1
         return a
-
-    def degree_matrix(self) -> np.ndarray:
-        return np.diag(self.degrees)
 
     def incidence_matrix(self) -> np.ndarray:
         """n x m incidence matrix B; B[i-1, e-1] = 1 iff node i lies on edge e.
@@ -93,9 +105,7 @@ class Graph:
         Satisfies B @ B.T == A + D exactly in integer arithmetic.
         """
         b = np.zeros((self.n, self.m), dtype=np.int64)
-        for k, (i, j) in enumerate(self.edges):
-            b[i - 1, k] = 1
-            b[j - 1, k] = 1
+        b[self._ends.T, np.arange(self.m)] = 1
         return b
 
     def transition_matrix(self) -> np.ndarray:
@@ -152,18 +162,10 @@ def build_graph(n: int, edges) -> Graph:
 
 
 def _check_connected(g: Graph) -> None:
-    reached = {1}
-    frontier = deque([1])
-    while frontier:
-        u = frontier.popleft()
-        for v in g.neighbors(u):
-            if v not in reached:
-                reached.add(v)
-                frontier.append(v)
-    if len(reached) < g.n:
-        missing = min(set(range(1, g.n + 1)) - reached)
+    unreached = np.flatnonzero(g._colours < 0)
+    if unreached.size:
         raise DisconnectedError(
-            f"graph is disconnected: node {missing} unreachable from node 1"
+            f"graph is disconnected: node {unreached[0] + 1} unreachable from node 1"
         )
 
 
@@ -177,18 +179,10 @@ def is_bipartite(g: Graph):
         ``parts`` is a pair of frozensets (V1, V2) with node 1 in V1;
         otherwise ``parts`` is None.
     """
-    color = {1: 0}
-    frontier = deque([1])
-    while frontier:
-        u = frontier.popleft()
-        for v in g.neighbors(u):
-            if v not in color:
-                color[v] = 1 - color[u]
-                frontier.append(v)
-            elif color[v] == color[u]:
-                return False, None
-    v1 = frozenset(u for u, c in color.items() if c == 0)
-    v2 = frozenset(u for u, c in color.items() if c == 1)
+    colour = g._colours
+    if (colour[g._ends[:, 0]] == colour[g._ends[:, 1]]).any():
+        return False, None
+    v1, v2 = (frozenset((np.flatnonzero(colour == c) + 1).tolist()) for c in (0, 1))
     return True, (v1, v2)
 
 

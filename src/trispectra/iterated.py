@@ -3,8 +3,8 @@ pseudofractal scale-free web specialization (iterates of the triangle).
 
 Same arithmetic convention as the single-step transfers: coefficients
 are Fractions, so exact-rational base summaries give exact results and
-float summaries give 64-bit floats.  k = 0 short-circuits to the base
-value.
+float summaries give 64-bit floats.  At k = 0 every ratio power is 1,
+so each correction term vanishes and the base value comes back unchanged.
 """
 
 from __future__ import annotations
@@ -17,12 +17,14 @@ from .transfer import GraphSummary
 
 
 def _float_range(closed_form):
-    """Turn the bare OverflowError that a float summary meets, when an
-    exact coefficient outgrows the float range, into FloatOverflowError
-    naming the closed form, q and k.  Exact summaries never raise it."""
+    """Validate q and k, and turn the bare OverflowError that a float
+    summary meets, when an exact coefficient outgrows the float range,
+    into FloatOverflowError naming the closed form, q and k.  Exact
+    summaries never raise it."""
 
     @functools.wraps(closed_form)
     def wrapper(summary, q, k):
+        q, k = check_q(q), check_k(k)
         try:
             return closed_form(summary, q, k)
         except OverflowError:
@@ -46,10 +48,6 @@ def _growth_powers(q: int, k: int):
 @_float_range
 def iterated_kemeny(summary: GraphSummary, q: int, k: int):
     """Kemeny's constant after k iterations."""
-    q = check_q(q)
-    k = check_k(k)
-    if k == 0:
-        return summary.kemeny
     n, m = summary.n, summary.m
     a, _, _, _, t = _growth_powers(q, k)
     return (
@@ -62,10 +60,6 @@ def iterated_kemeny(summary: GraphSummary, q: int, k: int):
 @_float_range
 def iterated_multiplicative(summary: GraphSummary, q: int, k: int):
     """Multiplicative degree-Kirchhoff index after k iterations."""
-    q = check_q(q)
-    k = check_k(k)
-    if k == 0:
-        return summary.multiplicative
     n, m = summary.n, summary.m
     _, b, _, _, t = _growth_powers(q, k)
     t2 = (2 * q + 1) ** (2 * k)
@@ -83,10 +77,6 @@ def iterated_multiplicative(summary: GraphSummary, q: int, k: int):
 @_float_range
 def iterated_additive(summary: GraphSummary, q: int, k: int):
     """Additive degree-Kirchhoff index after k iterations."""
-    q = check_q(q)
-    k = check_k(k)
-    if k == 0:
-        return summary.additive
     n, m = summary.n, summary.m
     _, b, c, _, t = _growth_powers(q, k)
     t2 = (2 * q + 1) ** (2 * k)
@@ -114,10 +104,6 @@ def iterated_additive(summary: GraphSummary, q: int, k: int):
 @_float_range
 def iterated_kirchhoff(summary: GraphSummary, q: int, k: int):
     """Kirchhoff index after k iterations."""
-    q = check_q(q)
-    k = check_k(k)
-    if k == 0:
-        return summary.kirchhoff
     n, m = summary.n, summary.m
     _, b, c, e, t = _growth_powers(q, k)
     t2 = (2 * q + 1) ** (2 * k)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import SingularSystemError
 from .graph import Graph, is_bipartite
-from .spectral import Spectrum
+from .spectral import Spectrum, eigendecompose
 
 _SOLVE_RESIDUAL = 1e-10
 
@@ -55,7 +55,7 @@ def resistance_oracle(g: Graph) -> np.ndarray:
     """Resistance matrix via the Laplacian pseudoinverse:
     r_ij = (e_i - e_j)^T L^+ (e_i - e_j), with L^+ = (L + J/n)^{-1} - J/n
     (L + J/n is regular on a connected graph)."""
-    lap = (g.degree_matrix() - g.adjacency_matrix()).astype(float)
+    lap = (np.diag(g.degrees) - g.adjacency_matrix()).astype(float)
     try:
         lp = np.linalg.inv(lap + 1.0 / g.n) - 1.0 / g.n
     except np.linalg.LinAlgError as exc:
@@ -138,8 +138,6 @@ def compute_metrics(g: Graph, route: str = "oracle", spec: Spectrum = None) -> M
         kem = float(hitting[0, :] @ pi)
     elif route == "spectral":
         if spec is None:
-            from .spectral import eigendecompose
-
             spec = eigendecompose(g)
         hitting = hitting_spectral_matrix(spec, g)
         resistance = resistance_spectral_matrix(spec, g)

@@ -87,6 +87,18 @@ def _null_space(a: np.ndarray) -> np.ndarray:
     return vh[rank:].T
 
 
+def _kernel_of_b(g: Graph, q: int) -> np.ndarray:
+    """Orthonormal basis N of ker B, checked to sqrt(q) ||B N|| <= 1e-10,
+    the residual ||C y|| of the ker C columns 1_q/sqrt(q) (x) N."""
+    b = g.incidence_matrix().astype(float)
+    null_b = _null_space(b)
+    if null_b.size:
+        worst = np.sqrt(q) * np.linalg.norm(b @ null_b, axis=0).max()
+        if worst > 1e-10:
+            raise ConvergenceFailure(f"ker B residual {worst:.3e} exceeds 1e-10")
+    return null_b
+
+
 def kernel_basis(g: Graph, q: int) -> np.ndarray:
     """Orthonormal basis of ker(C), C = q horizontal copies of B.
 
@@ -97,19 +109,10 @@ def kernel_basis(g: Graph, q: int) -> np.ndarray:
     bipartite G.
     """
     q = check_q(q)
-    b = g.incidence_matrix().astype(float)
-    basis = np.hstack([
+    return np.hstack([
         np.kron(_null_space(np.ones((1, q))), np.eye(g.m)),
-        np.kron(np.full((q, 1), 1.0 / np.sqrt(q)), _null_space(b)),
+        np.kron(np.full((q, 1), 1.0 / np.sqrt(q)), _kernel_of_b(g, q)),
     ])
-    if basis.size:
-        # C y = B (y_1 + ... + y_q) over the q blocks of y
-        worst = np.linalg.norm(b @ basis.reshape(q, g.m, -1).sum(axis=0), axis=0).max()
-        if worst > 1e-10:
-            raise ConvergenceFailure(
-                f"kernel basis residual {worst:.3e} exceeds 1e-10"
-            )
-    return basis
 
 
 def lift_spectrum(spec: Spectrum, g: Graph, q: int) -> LiftedSpectrum:
@@ -183,16 +186,10 @@ def kernel_sum_residual(g: Graph, q: int, spec: Spectrum) -> np.ndarray:
     The identity equates this with 1 - 1/(mq) minus a spectral sum over
     the nontrivial eigenvalues of G.  Returns |LHS - RHS| of shape (m,),
     entry e - 1 for edge e, so new node x reads entry (x - n - 1) % m.
-    ker B comes from the same SVD helper as kernel_basis and is checked
-    to ||B N|| <= 1e-10.
+    ker B comes from the same checked helper as kernel_basis.
     """
     q = check_q(q)
-    b = g.incidence_matrix().astype(float)
-    null_b = _null_space(b)
-    if null_b.size:
-        worst = np.linalg.norm(b @ null_b, axis=0).max()
-        if worst > 1e-10:
-            raise ConvergenceFailure(f"ker B residual {worst:.3e} exceeds 1e-10")
+    null_b = _kernel_of_b(g, q)
     lhs = 1.0 - 1.0 / q + (null_b ** 2).sum(axis=1) / q
 
     bipartite, _ = is_bipartite(g)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidNodeRefError, SameNodeError, check_q, is_index
+from .metrics import compute_metrics
 
 
 @dataclass(frozen=True)
@@ -39,8 +40,6 @@ class GraphSummary:
     @classmethod
     def from_graph(cls, g, with_matrices: bool = True) -> "GraphSummary":
         """Summarize a graph via the oracle route."""
-        from .metrics import compute_metrics
-
         report = compute_metrics(g, route="oracle")
         return cls(
             n=g.n,

@@ -187,9 +187,8 @@ def transfer_checks(g: Graph, q: int) -> list:
     """
     summ = transfer.GraphSummary.from_graph(g)
     tri = q_triangulate(g, q)
-    r = tri.result
-    hit = metrics.hitting_oracle(r)
-    res = metrics.resistance_oracle(r)
+    rep = metrics.compute_metrics(tri.result, "oracle")
+    hit, res = rep.hitting, rep.resistance
     hit_t, res_t = transfer.transfer_hitting, transfer.transfer_resistance
     n = g.n
     e2 = g.m  # a different generator edge when m > 1
@@ -212,13 +211,11 @@ def transfer_checks(g: Graph, q: int) -> list:
             ("hit new/new reverse", hit_t(q, summ, b_new, a_new), hit[x2 - 1, x1 - 1]),
             ("res new/new", res_t(q, summ, a_new, b_new), res[x1 - 1, x2 - 1]),
         ]
-    pi = r.stationary_distribution()
-    kir, add, mul = metrics.kirchhoff_indices(r, res)
     rows += [
-        ("kemeny", transfer.transfer_kemeny(q, summ), float(hit[0, :] @ pi)),
-        ("kirchhoff", transfer.transfer_kirchhoff(q, summ), kir),
-        ("additive", transfer.transfer_additive(q, summ), add),
-        ("multiplicative", transfer.transfer_multiplicative(q, summ), mul),
+        ("kemeny", transfer.transfer_kemeny(q, summ), rep.kemeny),
+        ("kirchhoff", transfer.transfer_kirchhoff(q, summ), rep.kirchhoff),
+        ("additive", transfer.transfer_additive(q, summ), rep.additive),
+        ("multiplicative", transfer.transfer_multiplicative(q, summ), rep.multiplicative),
         ("cross sum", transfer.new_old_resistance_sum(q, summ), res[n:, :n].sum()),
         ("new-pair sum", transfer.new_pair_resistance_sum(q, summ),
          np.triu(res[n:, n:], 1).sum()),
@@ -241,17 +238,16 @@ def suite_identities(cases, tol: float):
     for g, q in cases:
         tri = q_triangulate(g, q)
         for tag, graph in (("G", g), ("Rq", tri.result)):
-            hit = metrics.hitting_oracle(graph)
-            res = metrics.resistance_oracle(graph)
+            rep = metrics.compute_metrics(graph, "oracle")
+            hit, res = rep.hitting, rep.resistance
             spec = spectral.eigendecompose(graph)
             foster = sum(res[i - 1, j - 1] for i, j in graph.edges)
-            _, _, mul = metrics.kirchhoff_indices(graph, res)
             kem = metrics.kemeny(spec)
             pi = graph.stationary_distribution()
             rows = [
                 ("foster", foster, graph.n - 1),
                 ("reciprocity", np.abs(2 * graph.m * res - (hit + hit.T)).max(), 0.0),
-                ("mult=2mK", 2 * graph.m * kem, mul),
+                ("mult=2mK", 2 * graph.m * kem, rep.multiplicative),
                 ("kemeny start-independence", np.abs(hit @ pi - kem).max(), 0.0),
                 # kernel-sum identity at every generator edge, with this
                 # graph as the base of a further q-triangulation

@@ -270,6 +270,30 @@ def test_verify_q_defaults_to_1():
     assert run_cli(["verify", "--graph", "k3"]) == run_cli(["verify", "--graph", "k3", "--q", "1"])
 
 
+@pytest.mark.parametrize("q", ["0", "1", "5"])
+def test_verify_corpus_rejects_q(q, capsys):
+    # the corpus cycles q over 1..--qmax, so an explicit --q is an error
+    code, text = run_cli(["verify", "--trials", "2", "--q", q])
+    assert code == 2 and text == ""
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "1..--qmax" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_pseudofractal_negative_kmax(fmt, capsys):
+    code, text = run_cli(["pseudofractal", "--q", "1", "--kmax", "-1", "--format", fmt])
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err.startswith("error: InvalidKError: ")
+
+
+def test_spectrum_q_must_be_positive(capsys):
+    code, text = run_cli(["spectrum", "--graph", "k3", "--q", "0"])
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err == (
+        "error: InvalidQError: q must be a positive integer, got 0\n"
+    )
+
+
 # ---- JSON output: the indent=2 layout of json.dumps, byte for byte ----
 
 

@@ -27,6 +27,18 @@ def test_k0_returns_base():
     assert iterated_kirchhoff(TRIANGLE_BASE, 1, 0) == 2
 
 
+def test_k0_returns_float_base():
+    # at k = 0 every correction term has a factor that is exactly 0
+    names = ("kemeny", "multiplicative", "additive", "kirchhoff")
+    base = GraphSummary(
+        n=3, m=3, **{name: float(getattr(TRIANGLE_BASE, name)) for name in names}
+    )
+    for name in names:
+        for q in (1, 2, 3):
+            got = getattr(trispectra.iterated, f"iterated_{name}")(base, q, 0)
+            assert type(got) is float and got == getattr(base, name)
+
+
 def test_single_step_matches_transfer():
     assert iterated_kemeny(TRIANGLE_BASE, 1, 1) == Fraction(14, 3)
     assert iterated_multiplicative(TRIANGLE_BASE, 1, 1) == 84

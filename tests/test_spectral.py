@@ -169,15 +169,19 @@ def test_kernel_sum_skips_kernel_basis(monkeypatch):
     assert kernel_sum_residual(g, 2, eigendecompose(g)).max() < 1e-12
 
 
-def test_kernel_sum_checks_null_space(monkeypatch):
-    # a "null space" that B does not annihilate must be caught
+@pytest.mark.parametrize("caller", [
+    lambda g: kernel_sum_residual(g, 2, eigendecompose(g)),
+    lambda g: kernel_basis(g, 2),
+], ids=["kernel_sum_residual", "kernel_basis"])
+def test_kernel_sum_checks_null_space(monkeypatch, caller):
+    # a "null space" that B does not annihilate must be caught by both
+    # callers of the one ker B helper
     g = cycle_graph(5)
-    spec = eigendecompose(g)
     monkeypatch.setattr(
         spectral, "_null_space", lambda a: np.eye(a.shape[1])[:, :1]
     )
     with pytest.raises(ConvergenceFailure):
-        kernel_sum_residual(g, 2, spec)
+        caller(g)
 
 
 def test_kernel_sum_input_contract():
