@@ -2,14 +2,14 @@
 
 Subcommands: triangulate, metrics, transfer, spectrum, verify,
 pseudofractal.  Exit codes: 0 ok, 1 verification failure, 2 input
-error, 3 numerical failure.  Tolerances can be overridden with
-TRISPECTRA_TOL_EIG, TRISPECTRA_TOL_TRANSFER, etc.
+error, 3 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import sys
 
@@ -34,19 +34,18 @@ class CliInputError(Exception):
 
 
 def _load_graph(args):
-    if getattr(args, "input", None):
-        try:
-            with open(args.input) as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise CliInputError(f"cannot read {args.input}: {exc.strerror}") from exc
-        return parse_edge_list(text)
-    if getattr(args, "graph", None):
+    """The graph of ``--graph`` or ``--input``; argparse admits exactly one."""
+    if args.input is None:
         try:
             return builtin_graph(args.graph)
         except ValueError as exc:
             raise CliInputError(str(exc)) from exc
-    raise CliInputError("one of --graph or --input is required")
+    try:
+        with open(args.input) as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise CliInputError(f"cannot read {args.input}: {exc.strerror}") from exc
+    return parse_edge_list(text)
 
 
 def _f12(x) -> str:
@@ -185,17 +184,17 @@ def cmd_transfer(args, out) -> int:
 
 
 def cmd_verify(args, out) -> int:
-    if args.graph or args.input:
-        results = verify.run_single(_load_graph(args), 1 if args.q is None else args.q)
-    elif args.q is not None:
-        raise CliInputError(
-            "--q applies only with --graph or --input; the corpus cycles q over 1..--qmax"
-        )
+    corpus = {f: getattr(args, f) for f in _CORPUS_HELP if getattr(args, f) is not None}
+    if args.graph is None and args.input is None:
+        if args.q is not None:
+            raise CliInputError("--q applies only with --graph or --input; "
+                                "the corpus cycles q over 1..--qmax")
+        results = verify.run_all(**corpus)
+    elif corpus:
+        flags = ", ".join(f"--{f}" for f in corpus)
+        raise CliInputError(f"{flags}: corpus flags apply only without --graph or --input")
     else:
-        results = verify.run_all(
-            seed=args.seed, trials=args.trials, nmax=args.nmax, qmax=args.qmax
-        )
-    ok = True
+        results = verify.run_single(_load_graph(args), 1 if args.q is None else args.q)
     for r in results:
         status = "pass" if r.passed else "FAIL"
         out.write(
@@ -203,9 +202,8 @@ def cmd_verify(args, out) -> int:
             f"(tol {r.tolerance:.1e}, {r.cases} checks)\n"
         )
         if not r.passed:
-            ok = False
             out.write(f"       worst case: {r.worst_case}\n")
-    return EXIT_OK if ok else EXIT_VERIFY_FAIL
+    return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY_FAIL
 
 
 def cmd_pseudofractal(args, out) -> int:
@@ -237,9 +235,15 @@ def cmd_pseudofractal(args, out) -> int:
 # ---- argument parsing -------------------------------------------------
 
 
-def _add_graph_args(p):
-    p.add_argument("--graph", help="builtin: k2, k3, cycle:N, path:N, star:N")
-    p.add_argument("--input", help="edge-list file ('n m' header, then 'i j' lines)")
+#: verify's corpus flags; their defaults are those of verify.run_all
+_CORPUS_HELP = {"seed": "corpus seed", "trials": "random graphs in the corpus",
+                "nmax": "most nodes of a corpus graph", "qmax": "q cycles over 1..QMAX"}
+
+
+def _add_graph_args(p, required=True):
+    source = p.add_mutually_exclusive_group(required=required)
+    source.add_argument("--graph", help="builtin: k2, k3, cycle:N, path:N, star:N")
+    source.add_argument("--input", help="edge-list file ('n m' header, then 'i j' lines)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -270,12 +274,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_transfer)
 
     p = sub.add_parser("verify", help="run the cross-validation suites")
-    _add_graph_args(p)
+    _add_graph_args(p, required=False)
     p.add_argument("--q", type=int, help="q for --graph/--input (default 1)")
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--trials", type=int, default=30)
-    p.add_argument("--nmax", type=int, default=10)
-    p.add_argument("--qmax", type=int, default=3)
+    for flag, param in inspect.signature(verify.run_all).parameters.items():
+        text = f"{_CORPUS_HELP[flag]} (default {param.default})"
+        p.add_argument(f"--{flag}", type=int, help=text)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("pseudofractal", help="table of pseudofractal-web quantities")

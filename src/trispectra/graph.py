@@ -8,7 +8,6 @@ ordering.  Internal arrays are 0-based but never leak.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -62,31 +61,20 @@ class Graph:
         return d
 
     @cached_property
-    def _adjacency_sets(self):
-        nbrs = [set() for _ in range(self.n)]
-        for i, j in self.edges:
-            nbrs[i - 1].add(j)
-            nbrs[j - 1].add(i)
-        return tuple(frozenset(s) for s in nbrs)
-
-    def neighbors(self, i: int) -> frozenset:
-        """Neighbor set of node i (1-based)."""
-        return self._adjacency_sets[i - 1]
-
-    @cached_property
     def _colours(self) -> np.ndarray:
-        """BFS 2-colouring from node 1: 0 or 1 for each node reached,
-        alternating along BFS tree edges, and -1 for each node not reached."""
-        colour = [-1] * (self.n + 1)
-        colour[1] = 0
-        frontier = deque([1])
-        while frontier:
-            u = frontier.popleft()
-            for v in self.neighbors(u):
-                if colour[v] < 0:
-                    colour[v] = 1 - colour[u]
-                    frontier.append(v)
-        colours = np.array(colour[1:])
+        """BFS 2-colouring from node 1, one level at a time over the edge
+        array: the parity of each reached node's distance from node 1,
+        and -1 for each node not reached."""
+        colours = np.full(self.n, -1)
+        colours[0] = 0
+        u, v = self._ends.T
+        level, frontier = 0, colours == 0
+        while frontier.any():
+            level += 1
+            reached = np.zeros(self.n, dtype=bool)
+            reached[v[frontier[u]]] = reached[u[frontier[v]]] = True
+            frontier = reached & (colours < 0)
+            colours[frontier] = level % 2
         colours.setflags(write=False)
         return colours
 
@@ -155,18 +143,14 @@ def build_graph(n: int, edges) -> Graph:
         canon.append(e)
     canon.sort()
     g = Graph(n=n, edges=tuple(canon))
-    _check_connected(g)
-    if not canon:
-        raise EmptyGraphError("graph has no edges; a walk on it is undefined")
-    return g
-
-
-def _check_connected(g: Graph) -> None:
     unreached = np.flatnonzero(g._colours < 0)
     if unreached.size:
         raise DisconnectedError(
             f"graph is disconnected: node {unreached[0] + 1} unreachable from node 1"
         )
+    if not canon:
+        raise EmptyGraphError("graph has no edges; a walk on it is undefined")
+    return g
 
 
 def is_bipartite(g: Graph):
@@ -259,16 +243,18 @@ def star_graph(n: int) -> Graph:
 
 
 def builtin_graph(name: str) -> Graph:
-    """Resolve 'k2', 'k3', 'cycle:N', 'path:N', 'star:N' to a Graph."""
-    base, _, arg = name.partition(":")
+    """Resolve 'k2', 'k3', 'cycle:N', 'path:N', 'star:N' to a Graph;
+    a ValueError names the builtin for any other name or size."""
+    base, colon, arg = name.partition(":")
     base = base.lower()
-    if base == "k2":
-        return complete_graph(2)
-    if base == "k3":
-        return complete_graph(3)
+    if base in ("k2", "k3"):
+        if colon:
+            raise ValueError(f"builtin '{base}' takes no size, got '{name}'")
+        return complete_graph(int(base[1]))
     if base in ("cycle", "path", "star"):
-        if not arg:
-            raise ValueError(f"builtin '{base}' needs a size, e.g. {base}:4")
-        size = int(arg)
+        try:
+            size = int(arg)
+        except ValueError:
+            raise ValueError(f"builtin '{base}' needs an integer size, got '{name}'") from None
         return {"cycle": cycle_graph, "path": path_graph, "star": star_graph}[base](size)
     raise ValueError(f"unknown builtin graph '{name}'")

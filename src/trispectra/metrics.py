@@ -129,7 +129,7 @@ def kirchhoff_indices(g: Graph, resistance: np.ndarray):
     return plain, additive, multiplicative
 
 
-def compute_metrics(g: Graph, route: str = "oracle", spec: Spectrum = None) -> MetricsReport:
+def compute_metrics(g: Graph, route: str = "oracle") -> MetricsReport:
     """Build a full MetricsReport via the requested route."""
     if route == "oracle":
         hitting = hitting_oracle(g)
@@ -137,8 +137,7 @@ def compute_metrics(g: Graph, route: str = "oracle", spec: Spectrum = None) -> M
         pi = g.stationary_distribution()
         kem = float(hitting[0, :] @ pi)
     elif route == "spectral":
-        if spec is None:
-            spec = eigendecompose(g)
+        spec = eigendecompose(g)
         hitting = hitting_spectral_matrix(spec, g)
         resistance = resistance_spectral_matrix(spec, g)
         kem = kemeny(spec)

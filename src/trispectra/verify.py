@@ -13,7 +13,6 @@ flagged.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -31,18 +30,6 @@ DEFAULT_TOLERANCES = {
     "identity": 1e-8,   # Foster / reciprocity / Lemma 8 / kernel sums
     "iter": 1e-10,      # iterated closed forms vs chained transfers (float)
 }
-
-_ENV_PREFIX = "TRISPECTRA_TOL_"
-
-
-def tolerances() -> dict:
-    """Defaults, overridden by TRISPECTRA_TOL_* env vars."""
-    tol = dict(DEFAULT_TOLERANCES)
-    for key in tol:
-        env = os.environ.get(_ENV_PREFIX + key.upper())
-        if env is not None:
-            tol[key] = float(env)
-    return tol
 
 
 @dataclass(frozen=True)
@@ -261,7 +248,8 @@ def suite_identities(cases, tol: float):
 _INDICES = ("kemeny", "multiplicative", "additive", "kirchhoff")
 
 
-def suite_telescoping(qmax: int = 3, kmax: int = 6, tol: float = 1e-10):
+def suite_telescoping(qmax: int = 3, kmax: int = 6,
+                      tol: float = DEFAULT_TOLERANCES["iter"]):
     """Iterated closed forms vs k-fold chained single-step transfers,
     in exact rationals (must agree identically) and in floats."""
     bases = [
@@ -297,7 +285,8 @@ def suite_telescoping(qmax: int = 3, kmax: int = 6, tol: float = 1e-10):
     return SuiteResult("iterated-telescoping", tol, checks)
 
 
-def _graph_suites(cases, tol: dict) -> list:
+def _graph_suites(cases) -> list:
+    tol = DEFAULT_TOLERANCES
     return [
         suite_spectrum_lift(cases, tol["eig"], tol["lift"]),
         suite_transfer(cases, tol["transfer"]),
@@ -306,12 +295,11 @@ def _graph_suites(cases, tol: dict) -> list:
 
 
 def run_all(seed: int = 7, trials: int = 30, nmax: int = 10, qmax: int = 3):
-    """Run every suite on one seeded corpus; deterministic given seed."""
-    tol = tolerances()
+    """Run every suite at DEFAULT_TOLERANCES on one seeded corpus."""
     cases = make_corpus(seed, trials, nmax, qmax)
-    return _graph_suites(cases, tol) + [suite_telescoping(qmax=qmax, tol=tol["iter"])]
+    return _graph_suites(cases) + [suite_telescoping(qmax=qmax)]
 
 
 def run_single(g: Graph, q: int):
     """Run the graph-based suites on a single (graph, q) case."""
-    return _graph_suites([(g, check_q(q))], tolerances())
+    return _graph_suites([(g, check_q(q))])

@@ -1,3 +1,5 @@
+import functools
+import inspect
 import io
 import json
 import re
@@ -6,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from trispectra import cli, verify
 from trispectra.cli import _write_json, main
 from trispectra.graph import build_graph, complete_graph, cycle_graph, format_edge_list
 from trispectra.iterated import pseudofractal_metrics
@@ -398,3 +401,79 @@ def test_spectrum_and_pseudofractal_json_unchanged(tmp_path):
         dict(zip(keys, (k, *predicted_counts(3, 3, 2, k), *map(float, pseudofractal_metrics(2, k)))))
         for k in range(13)
     ])
+
+
+# ---- input contract: every input is used or rejected ------------------
+
+#: the subcommands that take --graph/--input, with their other required flags
+_GRAPH_COMMANDS = {
+    "triangulate": ["--q", "1"],
+    "metrics": [],
+    "spectrum": [],
+    "transfer": ["--q", "1"],
+    "verify": [],
+}
+
+
+@pytest.fixture
+def k2_file(tmp_path):
+    path = tmp_path / "k2.edges"
+    path.write_text("2 1\n1 2\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("command", list(_GRAPH_COMMANDS))
+def test_graph_and_input_exclude_each_other(command, k2_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli([command, "--graph", "k3", "--input", k2_file, *_GRAPH_COMMANDS[command]])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--input: not allowed with argument --graph" in err
+
+
+@pytest.mark.parametrize("command", [c for c in _GRAPH_COMMANDS if c != "verify"])
+def test_graph_source_required(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli([command, *_GRAPH_COMMANDS[command]])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "one of the arguments --graph --input is required" in err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--seed", "3"), ("--trials", "0"), ("--nmax", "10"), ("--qmax", "-1"),
+])
+@pytest.mark.parametrize("source", ["--graph", "--input"])
+def test_verify_single_graph_rejects_corpus_flags(source, flag, value, k2_file, capsys):
+    graph = "k3" if source == "--graph" else k2_file
+    code, text = run_cli(["verify", source, graph, flag, value])
+    assert code == 2 and text == ""
+    err = capsys.readouterr().err
+    assert err == f"error: {flag}: corpus flags apply only without --graph or --input\n"
+
+
+def test_verify_passes_only_given_corpus_flags(monkeypatch):
+    calls = []
+    # wraps keeps run_all's signature, from which the parser reads the defaults
+    fake = functools.wraps(verify.run_all)(lambda **kwargs: calls.append(kwargs) or [])
+    monkeypatch.setattr(cli.verify, "run_all", fake)
+    assert run_cli(["verify"]) == (0, "")
+    assert run_cli(["verify", "--trials", "2", "--qmax", "1"]) == (0, "")
+    assert calls == [{}, {"trials": 2, "qmax": 1}]
+
+
+def test_verify_help_reads_corpus_defaults_from_run_all(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["verify", "--help"])
+    assert exc.value.code == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    for flag, default in inspect.signature(verify.run_all).parameters.items():
+        assert re.search(rf"--{flag} {flag.upper()} [^-]*\(default {default.default}\)", help_text)
+
+
+@pytest.mark.parametrize("graph", ["k3:99", "k2:junk", "cycle:x", "star:2:3"])
+def test_builtin_with_bad_size_is_input_error(graph, capsys):
+    code, text = run_cli(["metrics", "--graph", graph])
+    assert code == 2 and text == ""
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: builtin '{graph.partition(':')[0]}'")

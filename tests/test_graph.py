@@ -163,3 +163,47 @@ def test_builtin_graphs():
     assert builtin_graph("star:3").n == 4
     with pytest.raises(ValueError):
         builtin_graph("torus:3")
+    # k2/k3 take no size, and cycle/path/star only an integer one
+    for name in ("k2:junk", "k3:99", "k3:", "cycle", "cycle:x", "path:", "path:2.5", "star:2:3"):
+        with pytest.raises(ValueError, match=f"^builtin '{name.partition(':')[0]}' "):
+            builtin_graph(name)
+
+
+# ---- networkx as a third oracle for graph structure --------------------
+
+
+def _check_against_networkx(nx, n, edges):
+    """build_graph's connectivity verdict, the unreached node it names,
+    and is_bipartite's verdict and parts, against networkx."""
+    ref = nx.Graph()
+    ref.add_nodes_from(range(1, n + 1))
+    ref.add_edges_from(edges)
+    if not nx.is_connected(ref):
+        lowest = min(set(ref) - nx.node_connected_component(ref, 1))
+        with pytest.raises(DisconnectedError, match=f": node {lowest} unreachable from node 1$"):
+            build_graph(n, edges)
+        return False
+    flag, parts = is_bipartite(build_graph(n, edges))
+    assert flag == nx.is_bipartite(ref)
+    if flag:
+        colour = nx.bipartite.color(ref)
+        assert parts[0] == {v for v in ref if colour[v] == colour[1]}
+        assert parts[1] == {v for v in ref if colour[v] != colour[1]}
+    return True
+
+
+def test_structure_matches_networkx(acceptance_corpus):
+    nx = pytest.importorskip("networkx")
+    from trispectra.triangulation import q_triangulate
+
+    for g, q in acceptance_corpus:
+        for graph in (g, q_triangulate(g, q).result):
+            assert _check_against_networkx(nx, graph.n, graph.edges)
+    rng = np.random.default_rng(20240)
+    connected = []
+    for _ in range(300):
+        n = int(rng.integers(2, 13))
+        pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        p = rng.uniform(0.05, 0.6)
+        connected.append(_check_against_networkx(nx, n, [e for e in pairs if rng.random() < p]))
+    assert 30 <= sum(connected) <= 270

@@ -38,7 +38,7 @@ def test_new_node_indexing_matches_block_structure():
         e, f = tri.provenance[x]
         assert x == g.n + (f - 1) * g.m + e
         s, t = g.edges[e - 1]
-        assert tri.result.neighbors(x) == {s, t}
+        assert set(np.flatnonzero(tri.result.adjacency_matrix()[x - 1]) + 1) == {s, t}
 
 
 def test_degree_law_and_counts(small_corpus):
