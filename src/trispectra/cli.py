@@ -16,7 +16,9 @@ import sys
 import numpy as np
 
 from . import verify
-from .errors import ConvergenceFailure, EdgeListParseError, TrispectraError, check_k
+from .errors import (
+    ConvergenceFailure, EdgeListParseError, SingularSystemError, TrispectraError, check_k,
+)
 from .graph import builtin_graph, format_edge_list, parse_edge_list
 from .iterated import pseudofractal_metrics
 from .metrics import compute_metrics
@@ -160,9 +162,9 @@ def cmd_spectrum(args, out) -> int:
     g = _load_graph(args)
     spec = eigendecompose(g)
     if args.q is not None:
-        lifted = lift_spectrum(spec, g, args.q)
+        lifted = lift_spectrum(spec, args.q)
         payload = {
-            "eigenvalues": lifted.spectrum.eigenvalues,
+            "eigenvalues": lifted.eigenvalues,
             "branch": list(lifted.branches),
         }
     else:
@@ -299,7 +301,7 @@ def main(argv=None, out=None) -> int:
     except (CliInputError, EdgeListParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except ConvergenceFailure as exc:
+    except (ConvergenceFailure, SingularSystemError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except TrispectraError as exc:

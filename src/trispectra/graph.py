@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import index
 
 import numpy as np
 
@@ -124,14 +125,27 @@ def build_graph(n: int, edges) -> Graph:
     ------
     EmptyGraphError (also for a single node without edges), SelfLoopError,
     DuplicateEdgeError, DisconnectedError, and GraphError itself for an
-    endpoint outside 1..n
+    n or an edge that is not made of integers (bools included), and for
+    an endpoint outside 1..n
     """
+    try:
+        if isinstance(n, bool):
+            raise TypeError
+        n = index(n)
+    except TypeError:
+        raise GraphError(f"node count must be an integer, got {n!r}") from None
     if n < 1:
         raise EmptyGraphError(f"node count must be >= 1, got {n}")
     canon = []
     seen = set()
     for raw in edges:
-        i, j = int(raw[0]), int(raw[1])
+        try:
+            i, j = raw
+            if type(i) is bool or type(j) is bool:  # bool cannot be subclassed
+                raise TypeError
+            i, j = index(i), index(j)
+        except (TypeError, ValueError):
+            raise GraphError(f"edge {raw!r} is not a pair of integer node numbers") from None
         if i == j:
             raise SelfLoopError(f"self-loop at node {i}")
         if not (1 <= i <= n and 1 <= j <= n):

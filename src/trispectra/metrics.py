@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularSystemError
+from .errors import SingularSystemError, TrispectraError
 from .graph import Graph, is_bipartite
 from .spectral import Spectrum, eigendecompose
 
@@ -73,24 +73,25 @@ def resistance_oracle(g: Graph) -> np.ndarray:
 # ---- spectral route ---------------------------------------------------
 
 
-def _green(spec: Spectrum, g: Graph, upper: int) -> np.ndarray:
+def _green(spec: Spectrum, upper: int) -> np.ndarray:
     """U diag(1/(1 - lambda_k)) U^T over k = 2..upper, U = D^{-1/2} V.
 
     Written as S S^T with S = U diag(1/sqrt(1 - lambda_k)), so the
     product is exactly symmetric.
     """
-    u = spec.eigenvectors[:, 1:upper] / np.sqrt(g.degrees)[:, None]
+    u = spec.eigenvectors[:, 1:upper] / np.sqrt(spec.graph.degrees)[:, None]
     s = u / np.sqrt(1.0 - spec.eigenvalues[1:upper])
     return s @ s.T
 
 
-def hitting_spectral_matrix(spec: Spectrum, g: Graph) -> np.ndarray:
-    """Hitting times from the spectrum of P: T_ij = 2m (G_jj - G_ij) with
-    G = _green over k >= 2.  For bipartite G the k = n term is dropped
-    and +1 is added iff i and j lie in different parts of the 2-coloring.
+def hitting_spectral_matrix(spec: Spectrum) -> np.ndarray:
+    """Hitting times of spec.graph, T_ij = 2m (G_jj - G_ij) with G =
+    _green over k >= 2.  For bipartite G the k = n term is dropped and
+    +1 is added iff i and j lie in different parts of the 2-coloring.
     """
+    g = spec.graph
     bipartite, parts = is_bipartite(g)
-    green = _green(spec, g, g.n - 1 if bipartite else g.n)
+    green = _green(spec, g.n - 1 if bipartite else g.n)
     h = 2.0 * g.m * (np.diag(green)[None, :] - green)
     if bipartite:
         side = np.isin(np.arange(1, g.n + 1), list(parts[0]))
@@ -103,13 +104,14 @@ def kemeny(spec: Spectrum) -> float:
     return float(np.sum(1.0 / (1.0 - spec.eigenvalues[1:])))
 
 
-def resistance_spectral_matrix(spec: Spectrum, g: Graph) -> np.ndarray:
-    """r_ij = G_ii + G_jj - 2 G_ij with G = _green over all k >= 2.
+def resistance_spectral_matrix(spec: Spectrum) -> np.ndarray:
+    """Resistances of spec.graph, r_ij = G_ii + G_jj - 2 G_ij with
+    G = _green over all k >= 2.
 
     The k = n term is kept even for bipartite graphs: lambda_n = -1
     contributes finitely through the denominator 2.
     """
-    green = _green(spec, g, g.n)
+    green = _green(spec, spec.graph.n)
     diag = np.diag(green)
     return diag[:, None] + diag[None, :] - 2.0 * green
 
@@ -138,11 +140,11 @@ def compute_metrics(g: Graph, route: str = "oracle") -> MetricsReport:
         kem = float(hitting[0, :] @ pi)
     elif route == "spectral":
         spec = eigendecompose(g)
-        hitting = hitting_spectral_matrix(spec, g)
-        resistance = resistance_spectral_matrix(spec, g)
+        hitting = hitting_spectral_matrix(spec)
+        resistance = resistance_spectral_matrix(spec)
         kem = kemeny(spec)
     else:
-        raise ValueError(f"unknown route {route!r}")
+        raise TrispectraError(f"unknown route {route!r}; use 'oracle' or 'spectral'")
     plain, additive, multiplicative = kirchhoff_indices(g, resistance)
     return MetricsReport(
         hitting=hitting,

@@ -27,7 +27,7 @@ _EIG_RESIDUAL = 1e-10
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues (descending) and orthonormal eigenvectors of P.
+    """Eigenvalues (descending) and orthonormal eigenvectors of P(graph).
 
     ``eigenvectors[:, k]`` is the unit eigenvector for ``eigenvalues[k]``;
     the first eigenvector is proportional to sqrt(d_i / 2m) and every
@@ -36,21 +36,22 @@ class Spectrum:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+    graph: Graph
 
 
 @dataclass(frozen=True)
 class LiftedSpectrum:
-    """Spectrum of R_q(G) produced by the closed-form lift.
+    """Eigenvalues (descending) and eigenvectors of P(R_q(G)) from the
+    closed-form lift, which never builds R_q(G).
 
     ``branches[k]`` labels where eigenvalue k came from: "plus" / "minus"
     (the two branch roots per input eigenvalue), "zero" (kernel of C),
     or "bipartite-special" (the lone -1/(q+1)).
     """
 
-    spectrum: Spectrum
-    delta: np.ndarray
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
     branches: tuple
-    kernel_dim: int
 
 
 def _fix_signs(vecs: np.ndarray) -> np.ndarray:
@@ -74,7 +75,7 @@ def eigendecompose(g: Graph) -> Spectrum:
         )
     vals.setflags(write=False)
     vecs.setflags(write=False)
-    return Spectrum(eigenvalues=vals, eigenvectors=vecs)
+    return Spectrum(eigenvalues=vals, eigenvectors=vecs, graph=g)
 
 
 def _null_space(a: np.ndarray) -> np.ndarray:
@@ -115,23 +116,22 @@ def kernel_basis(g: Graph, q: int) -> np.ndarray:
     ])
 
 
-def lift_spectrum(spec: Spectrum, g: Graph, q: int) -> LiftedSpectrum:
-    """Spectrum of R_q(G) from the spectrum of G, without construction.
+def lift_spectrum(spec: Spectrum, q: int) -> LiftedSpectrum:
+    """Spectrum of R_q(G) from the spectrum of G = spec.graph.
 
     Branch eigenvectors follow the closed form: the old-node block is the
     scaled input eigenvector, the q new-node blocks are identical copies
     of sqrt(2(q+1)) / (lambda +- sqrt(Delta)) * B^T D^{-1/2} v, the whole
     vector normalized by sqrt(1/2 +- lambda / (2 sqrt(Delta))).
     """
-    q = check_q(q)
+    q, g = check_q(q), spec.graph
     n, m = g.n, g.m
     nt = n + m * q
     bipartite, _ = is_bipartite(g)
     n_branch = n - 1 if bipartite else n
 
-    lam_all = spec.eigenvalues
-    deltas = lam_all ** 2 + 2 * q * (q + 1) * (1 + lam_all)
-    lam, sqrt_delta = lam_all[:n_branch], np.sqrt(deltas[:n_branch])
+    lam = spec.eigenvalues[:n_branch]
+    sqrt_delta = np.sqrt(lam ** 2 + 2 * q * (q + 1) * (1 + lam))
     v = spec.eigenvectors[:, :n_branch]
     w = (g.incidence_matrix().T / np.sqrt(g.degrees)[None, :]) @ v
     roots, vecs = [], []
@@ -170,14 +170,12 @@ def lift_spectrum(spec: Spectrum, g: Graph, q: int) -> LiftedSpectrum:
 
     vals.setflags(write=False)
     mat.setflags(write=False)
-    return LiftedSpectrum(
-        spectrum=Spectrum(eigenvalues=vals, eigenvectors=mat),
-        delta=deltas, branches=branches, kernel_dim=expected_dim,
-    )
+    return LiftedSpectrum(eigenvalues=vals, eigenvectors=mat, branches=branches)
 
 
-def kernel_sum_residual(g: Graph, q: int, spec: Spectrum) -> np.ndarray:
-    """Residuals of the kernel-sum identity at every generator edge of G.
+def kernel_sum_residual(spec: Spectrum, q: int) -> np.ndarray:
+    """Residuals of the kernel-sum identity at every generator edge of
+    G = spec.graph.
 
     The squared entries of an orthonormal basis of ker C at a new node of
     R_q(G) sum to the diagonal entry of the projector onto ker C,
@@ -188,7 +186,7 @@ def kernel_sum_residual(g: Graph, q: int, spec: Spectrum) -> np.ndarray:
     entry e - 1 for edge e, so new node x reads entry (x - n - 1) % m.
     ker B comes from the same checked helper as kernel_basis.
     """
-    q = check_q(q)
+    q, g = check_q(q), spec.graph
     null_b = _kernel_of_b(g, q)
     lhs = 1.0 - 1.0 / q + (null_b ** 2).sum(axis=1) / q
 

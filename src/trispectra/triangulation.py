@@ -9,9 +9,10 @@ blocks, and spectrum-lift tests are index-aligned for free.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .errors import check_k, check_q
+from .errors import GraphError, InvalidNodeRefError, check_k, check_q, is_index
 from .graph import Graph, build_graph
 
 
@@ -40,6 +41,11 @@ class TriangulationResult:
         return range(self.base.n + 1, self.base.n + self.base.m * self.q + 1)
 
     def new_node_index(self, edge: int, copy: int) -> int:
+        """Index of the new node of generator edge 1..m and copy 1..q."""
+        if not (is_index(edge, self.base.m) and is_index(copy, self.q)):
+            raise InvalidNodeRefError(
+                f"no new node for edge {edge!r}, copy {copy!r} of R_{self.q}(G)"
+            )
         return self.base.n + (copy - 1) * self.base.m + edge
 
 
@@ -78,7 +84,10 @@ def predicted_counts(n: int, m: int, q: int, k: int):
     m_{q,k} = (2q+1)^k m and n_{q,k} = m[(2q+1)^k - 1]/2 + n; the second
     is integral because (2q+1)^k - 1 is even.
     """
+    if not (is_index(n, math.inf) and is_index(m, math.inf)):
+        raise GraphError(f"node and edge counts must be positive integers, got {n!r}, {m!r}")
     q = check_q(q)
     k = check_k(k)
     growth = (2 * q + 1) ** k
+    n, m = int(n), int(m)
     return m * (growth - 1) // 2 + n, growth * m

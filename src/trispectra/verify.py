@@ -151,7 +151,7 @@ def suite_spectrum_lift(cases, tol_eig: float, tol_resid: float):
     checks = []
     for g, q in cases:
         spec = spectral.eigendecompose(g)
-        lifted = spectral.lift_spectrum(spec, g, q).spectrum
+        lifted = spectral.lift_spectrum(spec, q)
         r = q_triangulate(g, q).result
         direct = spectral.eigendecompose(r)
         gap = np.abs(np.sort(lifted.eigenvalues) - np.sort(direct.eigenvalues)).max()
@@ -238,7 +238,7 @@ def suite_identities(cases, tol: float):
                 ("kemeny start-independence", np.abs(hit @ pi - kem).max(), 0.0),
                 # kernel-sum identity at every generator edge, with this
                 # graph as the base of a further q-triangulation
-                ("kernel-sum", spectral.kernel_sum_residual(graph, q, spec).max(), 0.0),
+                ("kernel-sum", spectral.kernel_sum_residual(spec, q).max(), 0.0),
             ]
             checks += [Check(f"{kind} {tag}", got, want, (g, q)) for kind, got, want in rows]
     return SuiteResult("identity-suite", tol, checks)

@@ -8,8 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from trispectra import cli, verify
+from trispectra import cli, metrics, verify
 from trispectra.cli import _write_json, main
+from trispectra.errors import ConvergenceFailure, SingularSystemError
 from trispectra.graph import build_graph, complete_graph, cycle_graph, format_edge_list
 from trispectra.iterated import pseudofractal_metrics
 from trispectra.metrics import compute_metrics
@@ -388,10 +389,10 @@ def test_spectrum_and_pseudofractal_json_unchanged(tmp_path):
     path = tmp_path / "web.edges"
     path.write_text(format_edge_list(g))
     code, text = run_cli(["spectrum", "--input", str(path), "--q", "2"])
-    lifted = lift_spectrum(eigendecompose(g), g, 2)
+    lifted = lift_spectrum(eigendecompose(g), 2)
     assert code == 0
     assert text == _indent2({
-        "eigenvalues": lifted.spectrum.eigenvalues.tolist(),
+        "eigenvalues": lifted.eigenvalues.tolist(),
         "branch": list(lifted.branches),
     })
     code, text = run_cli(["pseudofractal", "--q", "2", "--kmax", "12", "--format", "json"])
@@ -477,3 +478,14 @@ def test_builtin_with_bad_size_is_input_error(graph, capsys):
     assert code == 2 and text == ""
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith(f"error: builtin '{graph.partition(':')[0]}'")
+
+
+@pytest.mark.parametrize("error", [ConvergenceFailure, SingularSystemError])
+def test_numerical_failure_exits_3(error, monkeypatch, capsys):
+    def fail(*args):
+        raise error("no convergence")
+
+    monkeypatch.setattr(metrics, "hitting_oracle", fail)
+    code, text = run_cli(["metrics", "--graph", "k3"])
+    assert (code, text) == (3, "")
+    assert capsys.readouterr().err == "numerical failure: no convergence\n"

@@ -73,6 +73,36 @@ def test_out_of_range_endpoint_is_plain_graph_error():
     assert not isinstance(info.value, EmptyGraphError)
 
 
+@pytest.mark.parametrize("edges, shown", [
+    ([(1.9, 2.2), (2, 3)], "(1.9, 2.2)"),
+    ([(True, 2), (2, 3)], "(True, 2)"),
+    ([("1", "2"), (2, 3)], "('1', '2')"),
+    ([(1, 2, 3), (2, 3)], "(1, 2, 3)"),
+    ([(1,), (2, 3)], "(1,)"),
+    ([(1, np.float64(2.0)), (2, 3)], "(1, np.float64(2.0))"),
+])
+def test_non_integer_edge_is_graph_error(edges, shown):
+    # int() would truncate (1.9, 2.2) to the edge (1, 2) and read True as node 1
+    with pytest.raises(GraphError) as info:
+        build_graph(3, edges)
+    assert type(info.value) is GraphError
+    assert str(info.value) == f"edge {shown} is not a pair of integer node numbers"
+
+
+@pytest.mark.parametrize("n", [2.5, 3.0, "3", True, np.float64(3.0)])
+def test_non_integer_node_count_is_graph_error(n):
+    with pytest.raises(GraphError) as info:
+        build_graph(n, [(1, 2), (2, 3)])
+    assert str(info.value) == f"node count must be an integer, got {n!r}"
+
+
+def test_numpy_integers_build_python_ints():
+    g = build_graph(np.int64(3), [(np.int64(2), np.int32(1)), (np.int64(3), 2)])
+    assert g == build_graph(3, [(1, 2), (2, 3)])
+    assert type(g.n) is int
+    assert all(type(x) is int for e in g.edges for x in e)
+
+
 def test_degree_sum_is_2m(small_corpus):
     for g, _ in small_corpus:
         assert g.degrees.sum() == 2 * g.m

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import trispectra
+from trispectra.errors import TrispectraError
 from trispectra.graph import build_graph, complete_graph, cycle_graph, path_graph
 from trispectra.metrics import (
     compute_metrics,
@@ -17,6 +18,7 @@ from trispectra.metrics import (
     resistance_spectral_matrix,
 )
 from trispectra.spectral import eigendecompose
+from trispectra.triangulation import iterate_triangulation, q_triangulate
 
 
 def first_step_hitting(g):
@@ -57,12 +59,12 @@ def test_hitting_oracle_matches_first_step(small_corpus):
 
 def test_hitting_spectral_matches():
     k3 = complete_graph(3)
-    assert hitting_spectral_matrix(eigendecompose(k3), k3)[0, 1] == pytest.approx(2.0)
+    assert hitting_spectral_matrix(eigendecompose(k3))[0, 1] == pytest.approx(2.0)
     k2 = complete_graph(2)
     # bipartite branch with the +1 correction for opposite parts
-    assert hitting_spectral_matrix(eigendecompose(k2), k2)[0, 1] == pytest.approx(1.0)
+    assert hitting_spectral_matrix(eigendecompose(k2))[0, 1] == pytest.approx(1.0)
     c4 = cycle_graph(4)
-    assert hitting_spectral_matrix(eigendecompose(c4), c4)[0, 2] == pytest.approx(4.0)
+    assert hitting_spectral_matrix(eigendecompose(c4))[0, 2] == pytest.approx(4.0)
 
 
 def test_kemeny_values():
@@ -80,12 +82,12 @@ def test_kemeny_start_independence(small_corpus):
 
 def test_resistance_values():
     k2 = complete_graph(2)
-    assert resistance_spectral_matrix(eigendecompose(k2), k2)[0, 1] == pytest.approx(1.0)
+    assert resistance_spectral_matrix(eigendecompose(k2))[0, 1] == pytest.approx(1.0)
     k3 = complete_graph(3)
     # series-parallel: 1 || (1+1) = 2/3
-    assert resistance_spectral_matrix(eigendecompose(k3), k3)[0, 1] == pytest.approx(2 / 3)
+    assert resistance_spectral_matrix(eigendecompose(k3))[0, 1] == pytest.approx(2 / 3)
     p3 = path_graph(3)
-    r = resistance_spectral_matrix(eigendecompose(p3), p3)
+    r = resistance_spectral_matrix(eigendecompose(p3))
     assert r[0, 2] == pytest.approx(2.0)
     assert r[1, 1] == 0.0
 
@@ -161,3 +163,36 @@ def test_import_leaves_out_scipy():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+def test_unknown_route_is_typed():
+    with pytest.raises(TrispectraError, match="unknown route 'bogus'"):
+        compute_metrics(complete_graph(3), "bogus")
+
+
+def test_spectral_matrices_read_the_graph_from_the_spectrum():
+    # the graph comes with its spectrum: P5's end-to-end resistance is 4
+    # and its end-to-end hitting time 16
+    spec = eigendecompose(path_graph(5))
+    assert resistance_spectral_matrix(spec)[0, 4] == pytest.approx(4.0, abs=1e-12)
+    assert hitting_spectral_matrix(spec)[0, 4] == pytest.approx(16.0, abs=1e-12)
+
+
+def test_resistance_and_kemeny_match_networkx(small_corpus):
+    """networkx as a third oracle: the whole resistance matrix and Kemeny's
+    constant of every corpus graph, its R_q(G) and the q = 1, k = 3 web.
+    In networkx 3.6 both functions import scipy."""
+    nx = pytest.importorskip("networkx")
+    pytest.importorskip("scipy")
+    graphs = [g for g, _ in small_corpus]
+    graphs += [q_triangulate(g, q).result for g, q in small_corpus]
+    graphs.append(iterate_triangulation(complete_graph(3), 1, 3)[-1].result)
+    for g in graphs:
+        ref = nx.Graph(g.edges)
+        dist = nx.resistance_distance(ref)
+        nodes = range(1, g.n + 1)
+        want = np.array([[dist[i][j] for j in nodes] for i in nodes])
+        assert np.abs(resistance_oracle(g) - want).max() <= 1e-10 * want.max()
+        kem = nx.kemeny_constant(ref)
+        for route in ("oracle", "spectral"):
+            assert compute_metrics(g, route).kemeny == pytest.approx(kem, rel=1e-10, abs=0)

@@ -1,3 +1,6 @@
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 
@@ -67,10 +70,10 @@ def test_kernel_basis_properties(small_corpus):
 
 def test_lift_k3_q1_multiset():
     g = complete_graph(3)
-    lifted = lift_spectrum(eigendecompose(g), g, 1)
+    lifted = lift_spectrum(eigendecompose(g), 1)
     direct = eigendecompose(q_triangulate(g, 1).result)
     assert np.abs(
-        np.sort(lifted.spectrum.eigenvalues) - np.sort(direct.eigenvalues)
+        np.sort(lifted.eigenvalues) - np.sort(direct.eigenvalues)
     ).max() < 1e-10
     # oracle-confirmed multiset: {1, 1/4, 1/4, -1/2, -1/2, -1/2}
     assert np.allclose(
@@ -80,19 +83,19 @@ def test_lift_k3_q1_multiset():
 
 def test_lift_k2_q1_is_k3_spectrum():
     g = complete_graph(2)
-    lifted = lift_spectrum(eigendecompose(g), g, 1)
+    lifted = lift_spectrum(eigendecompose(g), 1)
     assert np.allclose(
-        np.sort(lifted.spectrum.eigenvalues), [-0.5, -0.5, 1.0], atol=1e-12
+        np.sort(lifted.eigenvalues), [-0.5, -0.5, 1.0], atol=1e-12
     )
-    assert lifted.kernel_dim == 0
+    assert lifted.branches.count("zero") == 0
     assert "bipartite-special" in lifted.branches
 
 
 def test_lift_top_branch_values(small_corpus):
     # lambda_1 = 1 always lifts to 1 and -q/(q+1)
     for g, q in small_corpus:
-        lifted = lift_spectrum(eigendecompose(g), g, q)
-        vals = lifted.spectrum.eigenvalues
+        lifted = lift_spectrum(eigendecompose(g), q)
+        vals = lifted.eigenvalues
         assert abs(vals[0] - 1.0) < 1e-10
         assert np.abs(vals + q / (q + 1)).min() < 1e-10
 
@@ -100,37 +103,38 @@ def test_lift_top_branch_values(small_corpus):
 def test_lift_full_properties(small_corpus):
     for g, q in small_corpus:
         spec = eigendecompose(g)
-        lifted = lift_spectrum(spec, g, q)
+        lifted = lift_spectrum(spec, q)
         r = q_triangulate(g, q).result
-        assert lifted.spectrum.eigenvalues.size == r.n
+        assert lifted.eigenvalues.size == r.n
         direct = eigendecompose(r)
         assert np.abs(
-            np.sort(lifted.spectrum.eigenvalues) - np.sort(direct.eigenvalues)
+            np.sort(lifted.eigenvalues) - np.sort(direct.eigenvalues)
         ).max() < 1e-8
         p = r.normalized_adjacency()
-        u = lifted.spectrum.eigenvectors
+        u = lifted.eigenvectors
         assert np.abs(u.T @ u - np.eye(r.n)).max() < 1e-9
         resid = np.linalg.norm(
-            p @ u - u * lifted.spectrum.eigenvalues, axis=0
+            p @ u - u * lifted.eigenvalues, axis=0
         ).max()
         assert resid < 1e-9 * r.n
         bip = is_bipartite(g)[0]
         zeros = lifted.branches.count("zero")
         assert zeros == g.m * q - g.n + (1 if bip else 0)
         assert lifted.branches.count("bipartite-special") == (1 if bip else 0)
-        assert np.all(lifted.delta[:-1] >= 0)
+        lam = spec.eigenvalues[:-1]
+        assert np.all(lam ** 2 + 2 * q * (q + 1) * (1 + lam) >= 0)
 
 
 def test_kernel_sum_identity_examples():
     for g, q in ((complete_graph(2), 2), (complete_graph(3), 1)):
-        residuals = kernel_sum_residual(g, q, eigendecompose(g))
+        residuals = kernel_sum_residual(eigendecompose(g), q)
         assert residuals.shape == (g.m,)
         assert residuals.max() < 1e-12
 
 
 def test_kernel_sum_identity_random(small_corpus):
     for g, q in small_corpus:
-        assert kernel_sum_residual(g, q, eigendecompose(g)).max() < 1e-8
+        assert kernel_sum_residual(eigendecompose(g), q).max() < 1e-8
 
 
 def _identity_rhs(g, q, spec):
@@ -152,7 +156,7 @@ def test_kernel_sum_lhs_matches_basis_rows(small_corpus):
     cases += [(q_triangulate(g, q).result, q) for g, q in small_corpus]
     for g, q in cases:
         spec = eigendecompose(g)
-        residuals = kernel_sum_residual(g, q, spec)
+        residuals = kernel_sum_residual(spec, q)
         assert residuals.shape == (g.m,)
         rows = (kernel_basis(g, q) ** 2).sum(axis=1)
         old = np.abs(rows - np.tile(_identity_rhs(g, q, spec), q))
@@ -166,11 +170,11 @@ def test_kernel_sum_skips_kernel_basis(monkeypatch):
 
     monkeypatch.setattr(spectral, "kernel_basis", refuse)
     g = cycle_graph(5)
-    assert kernel_sum_residual(g, 2, eigendecompose(g)).max() < 1e-12
+    assert kernel_sum_residual(eigendecompose(g), 2).max() < 1e-12
 
 
 @pytest.mark.parametrize("caller", [
-    lambda g: kernel_sum_residual(g, 2, eigendecompose(g)),
+    lambda g: kernel_sum_residual(eigendecompose(g), 2),
     lambda g: kernel_basis(g, 2),
 ], ids=["kernel_sum_residual", "kernel_basis"])
 def test_kernel_sum_checks_null_space(monkeypatch, caller):
@@ -189,13 +193,36 @@ def test_kernel_sum_input_contract():
     spec = eigendecompose(k3)
     for bad_q in (1.5, 0, True):
         with pytest.raises(InvalidQError):
-            kernel_sum_residual(k3, bad_q, spec)
-    assert kernel_sum_residual(k3, np.int64(2), spec).max() < 1e-12
+            kernel_sum_residual(spec, bad_q)
+    assert kernel_sum_residual(spec, np.int64(2)).max() < 1e-12
 
 
 def test_lift_rejects_non_integer_q():
     g = complete_graph(3)
     with pytest.raises(InvalidQError):
-        lift_spectrum(eigendecompose(g), g, 1.5)
+        lift_spectrum(eigendecompose(g), 1.5)
     with pytest.raises(InvalidQError):
         kernel_basis(g, True)
+
+
+def test_spectral_functions_take_the_graph_from_the_spectrum():
+    # the graph is given once, to eigendecompose; nothing downstream can
+    # pair a spectrum with another graph
+    from trispectra import metrics
+
+    params = {
+        fn.__name__: list(inspect.signature(fn).parameters)
+        for fn in (lift_spectrum, kernel_sum_residual,
+                   metrics.hitting_spectral_matrix, metrics.resistance_spectral_matrix)
+    }
+    assert params == {
+        "lift_spectrum": ["spec", "q"],
+        "kernel_sum_residual": ["spec", "q"],
+        "hitting_spectral_matrix": ["spec"],
+        "resistance_spectral_matrix": ["spec"],
+    }
+    assert [f.name for f in dataclasses.fields(spectral.LiftedSpectrum)] == [
+        "eigenvalues", "eigenvectors", "branches",
+    ]
+    g = cycle_graph(5)
+    assert eigendecompose(g).graph is g

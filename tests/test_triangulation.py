@@ -3,7 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from trispectra.errors import InvalidKError, InvalidQError
+from trispectra.errors import GraphError, InvalidKError, InvalidNodeRefError, InvalidQError
 from trispectra.graph import build_graph, complete_graph
 from trispectra.triangulation import (
     iterate_triangulation,
@@ -39,6 +39,17 @@ def test_new_node_indexing_matches_block_structure():
         assert x == g.n + (f - 1) * g.m + e
         s, t = g.edges[e - 1]
         assert set(np.flatnonzero(tri.result.adjacency_matrix()[x - 1]) + 1) == {s, t}
+
+
+def test_new_node_index_rejects_bad_edge_or_copy():
+    # K3 at q = 2 has new nodes 4..9; unchecked, these would read old
+    # node 3, the copy-2 node 7, a node 10 that does not exist, and 4.5
+    tri = q_triangulate(complete_graph(3), 2)
+    for edge, copy in ((0, 1), (4, 1), (1, 3), (1.5, 1), (1, 0), (True, 1), (1, True)):
+        with pytest.raises(InvalidNodeRefError):
+            tri.new_node_index(edge, copy)
+    assert tri.new_node_index(3, 2) == 9
+    assert tri.new_node_index(np.int64(1), np.int64(1)) == 4
 
 
 def test_degree_law_and_counts(small_corpus):
@@ -110,6 +121,13 @@ def test_predicted_counts():
     assert predicted_counts(3, 3, 1, 1) == (6, 9)
     assert predicted_counts(5, 7, 2, 0) == (5, 7)
     assert predicted_counts(3, 3, 3, 2) == (75, 147)
+
+
+def test_predicted_counts_rejects_bad_sizes():
+    for n, m in ((3.5, 3), (3, 3.0), (0, 3), (3, 0), (True, 3), ("3", 3)):
+        with pytest.raises(GraphError):
+            predicted_counts(n, m, 1, 1)
+    assert predicted_counts(np.int64(3), np.int64(3), 1, 40) == predicted_counts(3, 3, 1, 40)
 
 
 def test_predicted_counts_match_double_construction():
