@@ -7,8 +7,6 @@ import numpy as np
 
 from trispectra import (
     GraphSummary,
-    NewNode,
-    OldNode,
     compute_metrics,
     cycle_graph,
     q_triangulate,
@@ -27,26 +25,28 @@ print(f"base graph: cycle on {g.n} nodes; R_{q}(G) has {r.n} nodes, {r.m} edges"
 summary = GraphSummary.from_graph(g)
 rep = compute_metrics(r, route="oracle")
 
+# both routes number the nodes of R_q(G) alike: old nodes 1..n, then copy f
+# of G's edge e is node n + (f-1)m + e; here copy 1 of edges (1,2), (3,4)
+new_12 = tri.new_node_index(g.edges.index((1, 2)) + 1, 1)
+new_34 = tri.new_node_index(g.edges.index((3, 4)) + 1, 1)
+
 rows = [
     ("Kemeny's constant", float(transfer_kemeny(q, summary)), rep.kemeny),
     ("Kirchhoff index", float(transfer_kirchhoff(q, summary)), rep.kirchhoff),
     (
         "hitting old 1 -> old 3",
-        float(transfer_hitting(q, summary, OldNode(1), OldNode(3))),
-        rep.hitting[0, 2],
+        float(transfer_hitting(q, summary, 1, 3)),
+        rep.hitting[1 - 1, 3 - 1],
     ),
     (
         "hitting new{1,2} -> old 4",
-        float(transfer_hitting(q, summary, NewNode(1, 2), OldNode(4))),
-        rep.hitting[tri.new_node_index(1, 1) - 1, 3],
+        float(transfer_hitting(q, summary, new_12, 4)),
+        rep.hitting[new_12 - 1, 4 - 1],
     ),
     (
         "resistance new{1,2} <-> new{3,4}",
-        float(transfer_resistance(q, summary, NewNode(1, 2), NewNode(3, 4))),
-        rep.resistance[
-            tri.new_node_index(g.edges.index((1, 2)) + 1, 1) - 1,
-            tri.new_node_index(g.edges.index((3, 4)) + 1, 1) - 1,
-        ],
+        float(transfer_resistance(q, summary, new_12, new_34)),
+        rep.resistance[new_12 - 1, new_34 - 1],
     ),
 ]
 

@@ -55,8 +55,6 @@ from .spectral import (
 )
 from .transfer import (
     GraphSummary,
-    NewNode,
-    OldNode,
     new_old_resistance_sum,
     new_pair_resistance_sum,
     transfer_additive,
@@ -70,6 +68,7 @@ from .transfer import (
 from .triangulation import (
     TriangulationResult,
     iterate_triangulation,
+    new_node_generator,
     predicted_counts,
     q_triangulate,
 )

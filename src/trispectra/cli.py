@@ -23,7 +23,7 @@ from .graph import builtin_graph, format_edge_list, parse_edge_list
 from .iterated import pseudofractal_metrics
 from .metrics import compute_metrics
 from .spectral import eigendecompose, lift_spectrum
-from .triangulation import predicted_counts, q_triangulate
+from .triangulation import new_node_generator, predicted_counts, q_triangulate
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -102,7 +102,7 @@ def cmd_triangulate(args, out) -> int:
     out.write(format_edge_list(r))
     out.write("# provenance: new_node generator_edge copy\n")
     for x in tri.new_nodes:
-        e, f = tri.provenance[x]
+        e, f = new_node_generator(g.n, g.m, tri.q, x)
         out.write(f"{x} {e} {f}\n")
     return EXIT_OK
 

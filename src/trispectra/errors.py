@@ -75,7 +75,8 @@ class SameNodeError(TrispectraError):
 
 
 class InvalidNodeRefError(TrispectraError):
-    """NodeRef does not describe a node of R_q(G)."""
+    """A node index is not a node of R_q(G), or a summary lacks what a
+    two-node transfer reads."""
 
 
 class ConvergenceFailure(TrispectraError):

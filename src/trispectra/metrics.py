@@ -20,7 +20,7 @@ from .spectral import Spectrum, eigendecompose
 _SOLVE_RESIDUAL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MetricsReport:
     """All walk/resistance quantities of one graph from one route."""
 

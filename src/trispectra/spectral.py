@@ -25,7 +25,7 @@ RANK_CUTOFF = 1e-9
 _EIG_RESIDUAL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
     """Eigenvalues (descending) and orthonormal eigenvectors of P(graph).
 
@@ -39,7 +39,7 @@ class Spectrum:
     graph: Graph
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LiftedSpectrum:
     """Eigenvalues (descending) and eigenvectors of P(R_q(G)) from the
     closed-form lift, which never builds R_q(G).
@@ -183,7 +183,8 @@ def kernel_sum_residual(spec: Spectrum, q: int) -> np.ndarray:
     node's generator edge {s, t}; it does not depend on the node's copy.
     The identity equates this with 1 - 1/(mq) minus a spectral sum over
     the nontrivial eigenvalues of G.  Returns |LHS - RHS| of shape (m,),
-    entry e - 1 for edge e, so new node x reads entry (x - n - 1) % m.
+    entry e - 1 for edge e; new node x reads the entry of its edge e from
+    triangulation.new_node_generator.
     ker B comes from the same checked helper as kernel_basis.
     """
     q, g = check_q(q), spec.graph

@@ -14,17 +14,17 @@ from fractions import Fraction
 
 from .errors import InvalidNodeRefError, SameNodeError, check_q, is_index
 from .metrics import compute_metrics
+from .triangulation import new_node_generator
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GraphSummary:
     """The inputs the transfer formulas consume.
 
     Scalars may be floats or Fractions.  ``hitting`` and ``resistance``
-    (full matrices of G, 0-based numpy arrays) are only needed for the
-    two-node transfers; ``edge_set`` (frozenset of (min,max) pairs), when
-    present, lets NodeRef validation catch generator pairs that are not
-    edges of G.
+    (full matrices of G, 0-based numpy arrays) and ``edges`` (G's m edges
+    in canonical order, edge e at position e - 1) are only needed for the
+    two-node transfers.
     """
 
     n: int
@@ -35,73 +35,38 @@ class GraphSummary:
     multiplicative: object
     hitting: object = None
     resistance: object = None
-    edge_set: object = None
+    edges: object = None
 
     @classmethod
     def from_graph(cls, g, with_matrices: bool = True) -> "GraphSummary":
         """Summarize a graph via the oracle route."""
         report = compute_metrics(g, route="oracle")
         return cls(
-            n=g.n,
-            m=g.m,
+            n=g.n, m=g.m,
             kemeny=report.kemeny,
             kirchhoff=report.kirchhoff,
             additive=report.additive,
             multiplicative=report.multiplicative,
             hitting=report.hitting if with_matrices else None,
             resistance=report.resistance if with_matrices else None,
-            edge_set=frozenset(g.edges),
+            edges=g.edges,
         )
 
 
-@dataclass(frozen=True)
-class OldNode:
-    """A node of R_q(G) inherited from G."""
+def _generators(q: int, summary: GraphSummary, matrix: str, a, b):
+    """Generator edges (s, t) in G of nodes a and b of R_q(G), numbered as
+    q_triangulate numbers them (None for an old node); InvalidNodeRefError
+    for any other node, or for a summary without G's matrix or edges."""
+    if getattr(summary, matrix) is None or summary.edges is None:
+        raise InvalidNodeRefError(f"summary carries no {matrix} matrix or no edges of G")
 
-    i: int
+    def generator(x):
+        if is_index(x, summary.n):
+            return None
+        e, _ = new_node_generator(summary.n, summary.m, q, x)
+        return summary.edges[e - 1]
 
-
-@dataclass(frozen=True)
-class NewNode:
-    """A new node of R_q(G), identified by its generator edge {s, t} and
-    copy index.  All transfer values depend only on {s, t}, never on the
-    copy; the copy only distinguishes nodes on the same edge."""
-
-    s: int
-    t: int
-    copy: int = 1
-
-    @property
-    def ends(self):
-        return (min(self.s, self.t), max(self.s, self.t))
-
-
-def _validate_ref(q: int, summary: GraphSummary, ref) -> None:
-    if isinstance(ref, OldNode):
-        if not is_index(ref.i, summary.n):
-            raise InvalidNodeRefError(f"old node {ref.i!r} outside 1..{summary.n}")
-    elif isinstance(ref, NewNode):
-        ends_ok = is_index(ref.s, summary.n) and is_index(ref.t, summary.n)
-        if not ends_ok or ref.s == ref.t:
-            raise InvalidNodeRefError(
-                f"generator pair ({ref.s!r},{ref.t!r}) is not two distinct nodes of G"
-            )
-        if not is_index(ref.copy, q):
-            raise InvalidNodeRefError(f"copy {ref.copy!r} outside 1..{q}")
-        if summary.edge_set is not None and ref.ends not in summary.edge_set:
-            raise InvalidNodeRefError(
-                f"generator pair {ref.ends} is not an edge of G"
-            )
-    else:
-        raise InvalidNodeRefError(f"not a NodeRef: {ref!r}")
-
-
-def _same_ref(a, b) -> bool:
-    if isinstance(a, OldNode) and isinstance(b, OldNode):
-        return a.i == b.i
-    if isinstance(a, NewNode) and isinstance(b, NewNode):
-        return a.ends == b.ends and a.copy == b.copy
-    return False
+    return generator(a), generator(b)
 
 
 # ---- two-node transfers ----------------------------------------------
@@ -110,7 +75,8 @@ def _same_ref(a, b) -> bool:
 def transfer_hitting(q: int, summary: GraphSummary, a, b):
     """Hitting time in R_q(G) from node a to node b.
 
-    Four directed cases; T below is G's hitting matrix.
+    Four directed cases; T below is G's hitting matrix and {s, t}, {u, v}
+    are the generator edges of new nodes.
       old i -> old j:   (4q+2)/(q+2) T_ij
       new{s,t} -> old j: 1 + (2q+1)/(q+2) (T_sj + T_tj)
       old j -> new{s,t}: m(2q+1) - 1
@@ -120,33 +86,28 @@ def transfer_hitting(q: int, summary: GraphSummary, a, b):
                                             - (T_uv + T_vu)]
     """
     q = check_q(q)
-    _validate_ref(q, summary, a)
-    _validate_ref(q, summary, b)
-    if _same_ref(a, b):
-        raise SameNodeError(f"hitting time from {a} to itself")
-    if summary.hitting is None:
-        raise InvalidNodeRefError("summary carries no hitting matrix of G")
-    t = summary.hitting
-    m = summary.m
+    ga, gb = _generators(q, summary, "hitting", a, b)
+    if a == b:
+        raise SameNodeError(f"hitting time from node {a} to itself")
+    t, m = summary.hitting, summary.m
 
     def T(i, j):
         return t[i - 1, j - 1]
 
-    if isinstance(a, OldNode) and isinstance(b, OldNode):
-        return Fraction(4 * q + 2, q + 2) * T(a.i, b.i)
-    if isinstance(a, NewNode) and isinstance(b, OldNode):
-        s, tt = a.ends
-        return 1 + Fraction(2 * q + 1, q + 2) * (T(s, b.i) + T(tt, b.i))
-    if isinstance(a, OldNode) and isinstance(b, NewNode):
-        s, tt = b.ends
-        j = a.i
+    if ga is None and gb is None:
+        return Fraction(4 * q + 2, q + 2) * T(a, b)
+    if gb is None:
+        s, tt = ga
+        return 1 + Fraction(2 * q + 1, q + 2) * (T(s, b) + T(tt, b))
+    if ga is None:
+        s, tt = gb
         return (
             m * (2 * q + 1) - 1
             + Fraction(2 * q + 1, 2 * (q + 2))
-            * (2 * (T(j, s) + T(j, tt)) - (T(tt, s) + T(s, tt)))
+            * (2 * (T(a, s) + T(a, tt)) - (T(tt, s) + T(s, tt)))
         )
-    s, tt = a.ends
-    u, v = b.ends
+    s, tt = ga
+    u, v = gb
     return (
         m * (2 * q + 1)
         + Fraction(2 * q + 1, 2 * (q + 2))
@@ -157,35 +118,31 @@ def transfer_hitting(q: int, summary: GraphSummary, a, b):
 def transfer_resistance(q: int, summary: GraphSummary, a, b):
     """Resistance distance in R_q(G) between nodes a and b (0 if equal).
 
-    Three cases; r below is G's resistance matrix.
+    Three cases; r below is G's resistance matrix and {s, t}, {u, v} are
+    the generator edges of new nodes.
       old/old:          2/(q+2) r_ij
       new{s,t}/old j:   1/2 + (2 r_sj + 2 r_tj - r_st) / (2(q+2))
       new{s,t}/new{u,v}: 1 + (r_su + r_tu + r_sv + r_tv - r_uv - r_st)
                              / (2(q+2))
     """
     q = check_q(q)
-    _validate_ref(q, summary, a)
-    _validate_ref(q, summary, b)
-    if _same_ref(a, b):
+    ga, gb = _generators(q, summary, "resistance", a, b)
+    if a == b:
         return 0
-    if summary.resistance is None:
-        raise InvalidNodeRefError("summary carries no resistance matrix of G")
     rm = summary.resistance
 
     def R(i, j):
         return rm[i - 1, j - 1]
 
-    if isinstance(a, OldNode) and isinstance(b, OldNode):
-        return Fraction(2, q + 2) * R(a.i, b.i)
-    if isinstance(a, NewNode) != isinstance(b, NewNode):
-        new, old = (a, b) if isinstance(a, NewNode) else (b, a)
-        s, t = new.ends
-        j = old.i
+    if ga is None and gb is None:
+        return Fraction(2, q + 2) * R(a, b)
+    if ga is None or gb is None:
+        (s, t), j = (ga, b) if gb is None else (gb, a)
         return Fraction(1, 2) + Fraction(1, 2 * (q + 2)) * (
             2 * R(s, j) + 2 * R(t, j) - R(s, t)
         )
-    s, t = a.ends
-    u, v = b.ends
+    s, t = ga
+    u, v = gb
     return 1 + Fraction(1, 2 * (q + 2)) * (
         R(s, u) + R(t, u) + R(s, v) + R(t, v) - R(u, v) - R(s, t)
     )

@@ -18,7 +18,7 @@ from .graph import Graph, build_graph
 
 @dataclass(frozen=True)
 class TriangulationResult:
-    """R_q(G) together with the provenance of every new node.
+    """R_q(G) and the graph G it was built from.
 
     Attributes
     ----------
@@ -27,14 +27,11 @@ class TriangulationResult:
     base : Graph
         The input graph G.
     q : int
-    provenance : dict
-        new node index -> (generator edge index e in 1..m, copy f in 1..q).
     """
 
     result: Graph
     base: Graph
     q: int
-    provenance: dict
 
     @property
     def new_nodes(self) -> range:
@@ -49,20 +46,24 @@ class TriangulationResult:
         return self.base.n + (copy - 1) * self.base.m + edge
 
 
+def new_node_generator(n: int, m: int, q: int, x) -> tuple:
+    """(generator edge e in 1..m, copy f in 1..q) of new node x of R_q(G),
+    for G on n nodes and m edges; the inverse of new_node_index."""
+    if not is_index(x, n + m * q) or x <= n:
+        raise InvalidNodeRefError(f"{x!r} is not a new node {n + 1}..{n + m * q} of R_{q}(G)")
+    f, e = divmod(int(x) - n - 1, m)
+    return e + 1, f + 1
+
+
 def q_triangulate(g: Graph, q: int) -> TriangulationResult:
     """Construct R_q(G)."""
     q = check_q(q)
-    n, m = g.n, g.m
     edges = list(g.edges)
-    provenance = {}
-    for f in range(1, q + 1):
-        for e, (s, t) in enumerate(g.edges, start=1):
-            x = n + (f - 1) * m + e
-            edges.append((s, x))
-            edges.append((t, x))
-            provenance[x] = (e, f)
-    result = build_graph(n + m * q, edges)
-    return TriangulationResult(result=result, base=g, q=q, provenance=provenance)
+    # copy f of edge e is node n + (f-1)m + e: copies of G's edge list in turn
+    for x, (s, t) in enumerate(g.edges * q, start=g.n + 1):
+        edges += [(s, x), (t, x)]
+    result = build_graph(g.n + g.m * q, edges)
+    return TriangulationResult(result=result, base=g, q=q)
 
 
 def iterate_triangulation(g: Graph, q: int, k: int) -> list:

@@ -178,25 +178,21 @@ def transfer_checks(g: Graph, q: int) -> list:
     hit, res = rep.hitting, rep.resistance
     hit_t, res_t = transfer.transfer_hitting, transfer.transfer_resistance
     n = g.n
-    e2 = g.m  # a different generator edge when m > 1
-    x1 = tri.new_node_index(1, 1)
-    x2 = tri.new_node_index(e2, q)
-    # build_graph guarantees m >= 1, so nodes 1 and 2 exist
-    old_1, old_2 = transfer.OldNode(1), transfer.OldNode(2)
-    a_new = transfer.NewNode(*g.edges[0], 1)
-    b_new = transfer.NewNode(*g.edges[e2 - 1], q)
+    # old nodes 1 and 2 (build_graph guarantees m >= 1), copy 1 of edge 1
+    # and copy q of edge m: two new nodes unless m = q = 1
+    x1, x2 = tri.new_node_index(1, 1), tri.new_node_index(g.m, q)
     rows = [
-        ("hit old/old", hit_t(q, summ, old_1, old_2), hit[0, 1]),
-        ("res old/old", res_t(q, summ, old_1, old_2), res[0, 1]),
-        ("hit new/old", hit_t(q, summ, a_new, old_2), hit[x1 - 1, 1]),
-        ("hit old/new", hit_t(q, summ, old_2, a_new), hit[1, x1 - 1]),
-        ("res new/old", res_t(q, summ, a_new, old_2), res[x1 - 1, 1]),
+        ("hit old/old", hit_t(q, summ, 1, 2), hit[0, 1]),
+        ("res old/old", res_t(q, summ, 1, 2), res[0, 1]),
+        ("hit new/old", hit_t(q, summ, x1, 2), hit[x1 - 1, 1]),
+        ("hit old/new", hit_t(q, summ, 2, x1), hit[1, x1 - 1]),
+        ("res new/old", res_t(q, summ, x1, 2), res[x1 - 1, 1]),
     ]
     if x1 != x2:
         rows += [
-            ("hit new/new", hit_t(q, summ, a_new, b_new), hit[x1 - 1, x2 - 1]),
-            ("hit new/new reverse", hit_t(q, summ, b_new, a_new), hit[x2 - 1, x1 - 1]),
-            ("res new/new", res_t(q, summ, a_new, b_new), res[x1 - 1, x2 - 1]),
+            ("hit new/new", hit_t(q, summ, x1, x2), hit[x1 - 1, x2 - 1]),
+            ("hit new/new reverse", hit_t(q, summ, x2, x1), hit[x2 - 1, x1 - 1]),
+            ("res new/new", res_t(q, summ, x1, x2), res[x1 - 1, x2 - 1]),
         ]
     rows += [
         ("kemeny", transfer.transfer_kemeny(q, summ), rep.kemeny),

@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 
 from trispectra.errors import InvalidNodeRefError, InvalidQError, SameNodeError
-from trispectra.graph import complete_graph
-from trispectra.metrics import hitting_oracle, kirchhoff_indices, resistance_oracle
+from trispectra.graph import complete_graph, path_graph
+from trispectra.metrics import (
+    compute_metrics,
+    hitting_oracle,
+    kirchhoff_indices,
+    resistance_oracle,
+)
+from trispectra.spectral import eigendecompose, lift_spectrum
 from trispectra.transfer import (
     GraphSummary,
-    NewNode,
-    OldNode,
     new_old_resistance_sum,
     new_pair_resistance_sum,
     transfer_additive,
@@ -20,7 +24,7 @@ from trispectra.transfer import (
     transfer_resistance,
     transferred_summary,
 )
-from trispectra.triangulation import q_triangulate
+from trispectra.triangulation import TriangulationResult, q_triangulate
 
 K2 = GraphSummary(
     n=2, m=1,
@@ -30,7 +34,7 @@ K2 = GraphSummary(
                       [Fraction(1), Fraction(0)]], dtype=object),
     resistance=np.array([[Fraction(0), Fraction(1)],
                          [Fraction(1), Fraction(0)]], dtype=object),
-    edge_set=frozenset({(1, 2)}),
+    edges=((1, 2),),
 )
 
 
@@ -79,61 +83,105 @@ def test_multiplicative_is_2m_kemeny(k3_summary):
 
 
 def test_hitting_cases_k2():
-    # closed loops against K3, where every hitting time is 2
-    assert transfer_hitting(1, K2, OldNode(1), OldNode(2)) == 2
-    assert transfer_hitting(1, K2, NewNode(1, 2), OldNode(1)) == 2
-    assert transfer_hitting(1, K2, OldNode(1), NewNode(1, 2)) == 2
+    # closed loops against K3, where every hitting time is 2; node 3 is
+    # the new node of R_1(K2)
+    assert transfer_hitting(1, K2, 1, 2) == 2
+    assert transfer_hitting(1, K2, 3, 1) == 2
+    assert transfer_hitting(1, K2, 1, 3) == 2
 
 
 def test_resistance_cases_k2():
-    assert transfer_resistance(1, K2, OldNode(1), OldNode(2)) == Fraction(2, 3)
-    assert transfer_resistance(1, K2, NewNode(1, 2), OldNode(1)) == Fraction(2, 3)
-    # two copies on the same edge collapse to resistance exactly 1
-    assert transfer_resistance(2, K2, NewNode(1, 2, 1), NewNode(1, 2, 2)) == 1
+    assert transfer_resistance(1, K2, 1, 2) == Fraction(2, 3)
+    assert transfer_resistance(1, K2, 3, 1) == Fraction(2, 3)
+    # nodes 3 and 4 of R_2(K2), two copies on the same edge, collapse to
+    # resistance exactly 1
+    assert transfer_resistance(2, K2, 3, 4) == 1
 
 
 def test_same_node_handling():
     with pytest.raises(SameNodeError):
-        transfer_hitting(1, K2, OldNode(1), OldNode(1))
+        transfer_hitting(1, K2, 1, 1)
     with pytest.raises(SameNodeError):
-        transfer_hitting(2, K2, NewNode(1, 2, 1), NewNode(1, 2, 1))
-    assert transfer_resistance(1, K2, NewNode(1, 2, 1), NewNode(1, 2, 1)) == 0
+        transfer_hitting(2, K2, 4, 4)
+    assert transfer_resistance(1, K2, 3, 3) == 0
 
 
 def test_invalid_refs():
-    with pytest.raises(InvalidNodeRefError):
-        transfer_hitting(1, K2, OldNode(3), OldNode(1))
-    with pytest.raises(InvalidNodeRefError):
-        transfer_resistance(1, K2, NewNode(1, 1), OldNode(1))
-    k3 = GraphSummary.from_graph(complete_graph(3))
-    bad = GraphSummary(
-        n=3, m=3, kemeny=k3.kemeny, kirchhoff=k3.kirchhoff,
-        additive=k3.additive, multiplicative=k3.multiplicative,
-        hitting=k3.hitting, resistance=k3.resistance,
-        edge_set=frozenset({(1, 2), (1, 3)}),
-    )
-    with pytest.raises(InvalidNodeRefError):
-        transfer_hitting(1, bad, NewNode(2, 3), OldNode(1))
-
-
-def test_non_integer_and_out_of_range_refs():
-    with pytest.raises(InvalidNodeRefError):
-        transfer_hitting(1, K2, OldNode(1.0), OldNode(2))
-    with pytest.raises(InvalidNodeRefError):
-        transfer_resistance(1, K2, OldNode(True), OldNode(2))
-    with pytest.raises(InvalidNodeRefError):
-        transfer_hitting(1, K2, NewNode(1, 2, copy=99), OldNode(1))
-    with pytest.raises(InvalidNodeRefError):
-        transfer_resistance(2, K2, NewNode(1, 2, copy=0), OldNode(1))
-    no_edge_set = GraphSummary(
+    # R_q(K2) has nodes 1..2 + q; 0 and 3 + q are not nodes of it
+    for q in (1, 2):
+        for bad in (0, 3 + q):
+            for f in (transfer_hitting, transfer_resistance):
+                with pytest.raises(InvalidNodeRefError):
+                    f(q, K2, bad, 1)
+                with pytest.raises(InvalidNodeRefError):
+                    f(q, K2, 3, bad)
+    # a summary without G's matrices or edges cannot answer a two-node call
+    no_matrices = GraphSummary.from_graph(complete_graph(3), with_matrices=False)
+    no_edges = GraphSummary(
         n=2, m=1, kemeny=K2.kemeny, kirchhoff=K2.kirchhoff,
         additive=K2.additive, multiplicative=K2.multiplicative,
         hitting=K2.hitting, resistance=K2.resistance,
     )
-    with pytest.raises(InvalidNodeRefError):
-        transfer_hitting(1, no_edge_set, NewNode(1, 3), OldNode(1))
-    # numpy integers are indices too
-    assert transfer_hitting(1, K2, OldNode(np.int64(1)), OldNode(2)) == 2
+    for summ in (no_matrices, no_edges):
+        for f in (transfer_hitting, transfer_resistance):
+            for a, b in ((1, 2), (3, 1)):
+                with pytest.raises(InvalidNodeRefError):
+                    f(1, summ, a, b)
+
+
+def test_non_integer_and_out_of_range_refs():
+    for bad in (1.5, 3.0, True, "3", None):
+        for f in (transfer_hitting, transfer_resistance):
+            with pytest.raises(InvalidNodeRefError):
+                f(1, K2, bad, 2)
+            with pytest.raises(InvalidNodeRefError):
+                f(1, K2, 1, bad)
+    # numpy integers are node numbers too, old and new
+    assert transfer_hitting(1, K2, np.int64(1), 2) == 2
+    assert transfer_hitting(1, K2, np.int64(3), np.int64(1)) == 2
+    assert transfer_resistance(2, K2, np.int32(3), np.int64(4)) == 1
+
+
+def test_hand_built_summary_every_new_node_vs_oracle():
+    # P3 = 1-2-3 given by hand (no graph behind it) at q = 2: new nodes
+    # 4..7 are edge (1, 2) and edge (2, 3), copy 1, then both again, copy 2
+    F = Fraction
+    p3 = GraphSummary(
+        n=3, m=2,
+        kemeny=F(3, 2), kirchhoff=F(4), additive=F(10), multiplicative=F(6),
+        hitting=np.array([[0, 1, 4], [3, 0, 3], [4, 1, 0]], dtype=object) * F(1),
+        resistance=np.array([[0, 1, 2], [1, 0, 1], [2, 1, 0]], dtype=object) * F(1),
+        edges=((1, 2), (2, 3)),
+    )
+    q = 2
+    r = q_triangulate(path_graph(3), q).result
+    hit, res = hitting_oracle(r), resistance_oracle(r)
+    new, old = range(4, r.n + 1), range(1, 4)
+    pairs = [(x, j) for x in new for j in old] + [(j, x) for x in new for j in old]
+    pairs += [(x, y) for x in new for y in new if x != y]
+    for a, b in pairs:
+        assert float(transfer_hitting(q, p3, a, b)) == pytest.approx(
+            hit[a - 1, b - 1], rel=1e-12
+        )
+        assert float(transfer_resistance(q, p3, a, b)) == pytest.approx(
+            res[a - 1, b - 1], rel=1e-12
+        )
+
+
+@pytest.mark.parametrize("build", [
+    eigendecompose,
+    lambda g: lift_spectrum(eigendecompose(g), 2),
+    compute_metrics,
+    GraphSummary.from_graph,
+    lambda g: q_triangulate(g, 2),
+], ids=["Spectrum", "LiftedSpectrum", "MetricsReport", "GraphSummary", "TriangulationResult"])
+def test_records_compare_and_hash(build):
+    # records that carry arrays compare by identity; a TriangulationResult
+    # compares its graphs
+    a, b = build(complete_graph(3)), build(complete_graph(3))
+    assert a == a and hash(a) == hash(a)
+    assert (a == b) is isinstance(a, TriangulationResult)
+    assert len({a, b}) == (1 if a == b else 2)
 
 
 def test_q_validation(k3_summary):
@@ -148,25 +196,17 @@ def test_all_cases_vs_oracle(small_corpus):
         r = tri.result
         hit = hitting_oracle(r)
         res = resistance_oracle(r)
-        e_last = g.m
         x1 = tri.new_node_index(1, 1)
-        x2 = tri.new_node_index(e_last, q)
-        s, t = g.edges[0]
-        u, v = g.edges[e_last - 1]
-        pairs = [
-            (OldNode(1), OldNode(g.n), 0, g.n - 1),
-            (NewNode(s, t, 1), OldNode(g.n), x1 - 1, g.n - 1),
-            (OldNode(g.n), NewNode(s, t, 1), g.n - 1, x1 - 1),
-        ]
+        x2 = tri.new_node_index(g.m, q)
+        pairs = [(1, g.n), (x1, g.n), (g.n, x1)]
         if x1 != x2:
-            pairs.append((NewNode(s, t, 1), NewNode(u, v, q), x1 - 1, x2 - 1))
-            pairs.append((NewNode(u, v, q), NewNode(s, t, 1), x2 - 1, x1 - 1))
-        for a, b, ia, ib in pairs:
+            pairs += [(x1, x2), (x2, x1)]
+        for a, b in pairs:
             assert float(transfer_hitting(q, summ, a, b)) == pytest.approx(
-                hit[ia, ib], rel=1e-8
+                hit[a - 1, b - 1], rel=1e-8
             )
             assert float(transfer_resistance(q, summ, a, b)) == pytest.approx(
-                res[ia, ib], rel=1e-8
+                res[a - 1, b - 1], rel=1e-8
             )
         kir, add, mul = kirchhoff_indices(r, res)
         assert float(transfer_kirchhoff(q, summ)) == pytest.approx(kir, rel=1e-8)
@@ -189,13 +229,13 @@ def test_copy_index_independence(small_corpus):
         summ = GraphSummary.from_graph(g)
         tri = q_triangulate(g, q)
         res = resistance_oracle(tri.result)
-        s, t = g.edges[0]
-        a1 = transfer_resistance(q, summ, NewNode(s, t, 1), OldNode(1))
-        a2 = transfer_resistance(q, summ, NewNode(s, t, 2), OldNode(1))
-        assert a1 == a2
-        x1 = tri.new_node_index(1, 1)
-        x2 = tri.new_node_index(1, 2)
-        assert res[x1 - 1, 0] == pytest.approx(res[x2 - 1, 0], abs=1e-9)
+        # nodes n + e and n + m + e are copies 1 and 2 of edge e
+        for e in range(1, g.m + 1):
+            x1, x2 = g.n + e, g.n + g.m + e
+            for f in (transfer_hitting, transfer_resistance):
+                assert f(q, summ, x1, 1) == f(q, summ, x2, 1)
+                assert f(q, summ, 1, x1) == f(q, summ, 1, x2)
+            assert res[x1 - 1, 0] == pytest.approx(res[x2 - 1, 0], abs=1e-9)
 
 
 def test_kirchhoff_decomposition(small_corpus):

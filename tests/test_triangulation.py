@@ -7,6 +7,7 @@ from trispectra.errors import GraphError, InvalidKError, InvalidNodeRefError, In
 from trispectra.graph import build_graph, complete_graph
 from trispectra.triangulation import (
     iterate_triangulation,
+    new_node_generator,
     predicted_counts,
     q_triangulate,
 )
@@ -15,7 +16,7 @@ from trispectra.triangulation import (
 def test_k2_q1_closes_triangle():
     tri = q_triangulate(complete_graph(2), 1)
     assert tri.result.edges == ((1, 2), (1, 3), (2, 3))
-    assert tri.provenance == {3: (1, 1)}
+    assert new_node_generator(2, 1, 1, 3) == (1, 1)
 
 
 def test_k3_q1_sizes_and_degrees():
@@ -35,8 +36,8 @@ def test_new_node_indexing_matches_block_structure():
     q = 3
     tri = q_triangulate(g, q)
     for x in tri.new_nodes:
-        e, f = tri.provenance[x]
-        assert x == g.n + (f - 1) * g.m + e
+        e, f = new_node_generator(g.n, g.m, q, x)
+        assert x == g.n + (f - 1) * g.m + e == tri.new_node_index(e, f)
         s, t = g.edges[e - 1]
         assert set(np.flatnonzero(tri.result.adjacency_matrix()[x - 1]) + 1) == {s, t}
 
@@ -63,11 +64,21 @@ def test_degree_law_and_counts(small_corpus):
 
 
 def test_provenance_bijection(small_corpus):
+    # new_node_generator inverts new_node_index on every new node
     for g, q in small_corpus:
         tri = q_triangulate(g, q)
-        pairs = set(tri.provenance.values())
-        assert len(pairs) == len(tri.provenance) == g.m * q
-        assert pairs == {(e, f) for e in range(1, g.m + 1) for f in range(1, q + 1)}
+        pairs = [new_node_generator(g.n, g.m, q, x) for x in tri.new_nodes]
+        assert [tri.new_node_index(e, f) for e, f in pairs] == list(tri.new_nodes)
+        assert set(pairs) == {(e, f) for e in range(1, g.m + 1) for f in range(1, q + 1)}
+
+
+def test_new_node_generator_rejects_other_nodes():
+    # K3 at q = 2: old nodes 1..3, new nodes 4..9
+    for x in (1, 3, 0, -1, 10, 4.0, 4.5, True, "4", None):
+        with pytest.raises(InvalidNodeRefError):
+            new_node_generator(3, 3, 2, x)
+    assert new_node_generator(3, 3, 2, 4) == (1, 1)
+    assert new_node_generator(3, 3, 2, np.int64(9)) == (3, 2)
 
 
 def test_invalid_q():
