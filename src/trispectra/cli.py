@@ -43,10 +43,12 @@ def _load_graph(args):
         except ValueError as exc:
             raise CliInputError(str(exc)) from exc
     try:
-        with open(args.input) as fh:
+        with open(args.input, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise CliInputError(f"cannot read {args.input}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise CliInputError(f"cannot read {args.input}: byte {exc.start} is not UTF-8") from exc
     return parse_edge_list(text)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidNodeRefError, SameNodeError, check_q, is_index
+from .errors import GraphError, InvalidNodeRefError, SameNodeError, check_q, is_index
 from .metrics import compute_metrics
 from .triangulation import new_node_generator
 
@@ -22,9 +22,11 @@ class GraphSummary:
     """The inputs the transfer formulas consume.
 
     Scalars may be floats or Fractions.  ``hitting`` and ``resistance``
-    (full matrices of G, 0-based numpy arrays) and ``edges`` (G's m edges
-    in canonical order, edge e at position e - 1) are only needed for the
-    two-node transfers.
+    (full n x n matrices of G, 0-based numpy arrays) and ``edges`` (G's m
+    edges in canonical order, edge e at position e - 1) are only needed
+    for the two-node transfers.  GraphError, naming the field, unless
+    ``edges`` is m pairs of distinct nodes in 1..n and each matrix has
+    shape (n, n).
     """
 
     n: int
@@ -36,6 +38,22 @@ class GraphSummary:
     hitting: object = None
     resistance: object = None
     edges: object = None
+
+    def __post_init__(self):
+        n, m = self.n, self.m
+        try:
+            fits = self.edges is None or len(self.edges) == m and all(
+                len(e) == 2 and e[0] != e[1] and is_index(e[0], n) and is_index(e[1], n)
+                for e in self.edges
+            )
+        except TypeError:
+            fits = False
+        if not fits:
+            raise GraphError(f"edges must be m = {m} pairs of distinct nodes in 1..{n}")
+        for name in ("hitting", "resistance"):
+            matrix = getattr(self, name)
+            if matrix is not None and getattr(matrix, "shape", None) != (n, n):
+                raise GraphError(f"{name} must be an {n} x {n} numpy array")
 
     @classmethod
     def from_graph(cls, g, with_matrices: bool = True) -> "GraphSummary":
@@ -54,97 +72,73 @@ class GraphSummary:
 
 
 def _generators(q: int, summary: GraphSummary, matrix: str, a, b):
-    """Generator edges (s, t) in G of nodes a and b of R_q(G), numbered as
-    q_triangulate numbers them (None for an old node); InvalidNodeRefError
-    for any other node, or for a summary without G's matrix or edges."""
+    """(s, t, is_new) for nodes a and b of R_q(G), numbered as
+    q_triangulate numbers them: {s, t} is a new node's generator edge in
+    G, and an old node x is the degenerate edge {x, x}, both 0-based.
+    InvalidNodeRefError for any other node, or for a summary without G's
+    matrix or edges."""
     if getattr(summary, matrix) is None or summary.edges is None:
         raise InvalidNodeRefError(f"summary carries no {matrix} matrix or no edges of G")
 
     def generator(x):
         if is_index(x, summary.n):
-            return None
+            return x - 1, x - 1, 0
         e, _ = new_node_generator(summary.n, summary.m, q, x)
-        return summary.edges[e - 1]
+        s, t = summary.edges[e - 1]
+        return s - 1, t - 1, 1
 
     return generator(a), generator(b)
 
 
 # ---- two-node transfers ----------------------------------------------
+# An old node is its degenerate edge and T_xx = r_xx = 0, so the paper's
+# old/old, new/old, old/new and new/new cases are one formula each.  Summing
+# (T_su + T_tu) + (T_sv + T_tv) rounds every case but new/new bit for bit as
+# its case formula does.
 
 
 def transfer_hitting(q: int, summary: GraphSummary, a, b):
     """Hitting time in R_q(G) from node a to node b.
 
-    Four directed cases; T below is G's hitting matrix and {s, t}, {u, v}
-    are the generator edges of new nodes.
-      old i -> old j:   (4q+2)/(q+2) T_ij
-      new{s,t} -> old j: 1 + (2q+1)/(q+2) (T_sj + T_tj)
-      old j -> new{s,t}: m(2q+1) - 1
-                         + (2q+1)/(2(q+2)) [2(T_js + T_jt) - (T_ts + T_st)]
-      new{s,t} -> new{u,v}: m(2q+1)
-                         + (2q+1)/(2(q+2)) [T_su + T_tu + T_sv + T_tv
-                                            - (T_uv + T_vu)]
+    {s, t} is the generator edge of a and {u, v} that of b (s = t = a for
+    an old node a), and T is G's hitting matrix:
+      H(a -> b) = [a new] + [b new] (m(2q+1) - 1)
+                  + (2q+1)/(2(q+2)) (T_su + T_tu + T_sv + T_tv - T_uv - T_vu)
+    Case by case: old i -> old j is (4q+2)/(q+2) T_ij; new{s,t} -> old j is
+    1 + (2q+1)/(q+2) (T_sj + T_tj); old j -> new{u,v} is m(2q+1) - 1 +
+    (2q+1)/(2(q+2)) [2(T_ju + T_jv) - T_uv - T_vu]; new -> new is m(2q+1)
+    plus the bracket in full.
     """
     q = check_q(q)
-    ga, gb = _generators(q, summary, "hitting", a, b)
+    (s, t, a_new), (u, v, b_new) = _generators(q, summary, "hitting", a, b)
     if a == b:
         raise SameNodeError(f"hitting time from node {a} to itself")
-    t, m = summary.hitting, summary.m
-
-    def T(i, j):
-        return t[i - 1, j - 1]
-
-    if ga is None and gb is None:
-        return Fraction(4 * q + 2, q + 2) * T(a, b)
-    if gb is None:
-        s, tt = ga
-        return 1 + Fraction(2 * q + 1, q + 2) * (T(s, b) + T(tt, b))
-    if ga is None:
-        s, tt = gb
-        return (
-            m * (2 * q + 1) - 1
-            + Fraction(2 * q + 1, 2 * (q + 2))
-            * (2 * (T(a, s) + T(a, tt)) - (T(tt, s) + T(s, tt)))
-        )
-    s, tt = ga
-    u, v = gb
+    T = summary.hitting
     return (
-        m * (2 * q + 1)
+        a_new + b_new * (summary.m * (2 * q + 1) - 1)
         + Fraction(2 * q + 1, 2 * (q + 2))
-        * (T(s, u) + T(tt, u) + T(s, v) + T(tt, v) - (T(u, v) + T(v, u)))
+        * ((T[s, u] + T[t, u]) + (T[s, v] + T[t, v]) - (T[u, v] + T[v, u]))
     )
 
 
 def transfer_resistance(q: int, summary: GraphSummary, a, b):
     """Resistance distance in R_q(G) between nodes a and b (0 if equal).
 
-    Three cases; r below is G's resistance matrix and {s, t}, {u, v} are
-    the generator edges of new nodes.
-      old/old:          2/(q+2) r_ij
-      new{s,t}/old j:   1/2 + (2 r_sj + 2 r_tj - r_st) / (2(q+2))
-      new{s,t}/new{u,v}: 1 + (r_su + r_tu + r_sv + r_tv - r_uv - r_st)
-                             / (2(q+2))
+    {s, t} is the generator edge of a and {u, v} that of b (s = t = a for
+    an old node a), and r is G's resistance matrix; for a != b:
+      r(a, b) = ([a new] + [b new]) / 2
+                + (r_su + r_tu + r_sv + r_tv - r_uv - r_st) / (2(q+2))
+    Case by case: old/old is 2/(q+2) r_ij; new{s,t}/old j is
+    1/2 + (2 r_sj + 2 r_tj - r_st) / (2(q+2)); new/new is 1 plus the
+    fraction in full.
     """
     q = check_q(q)
-    ga, gb = _generators(q, summary, "resistance", a, b)
+    (s, t, a_new), (u, v, b_new) = _generators(q, summary, "resistance", a, b)
     if a == b:
         return 0
-    rm = summary.resistance
-
-    def R(i, j):
-        return rm[i - 1, j - 1]
-
-    if ga is None and gb is None:
-        return Fraction(2, q + 2) * R(a, b)
-    if ga is None or gb is None:
-        (s, t), j = (ga, b) if gb is None else (gb, a)
-        return Fraction(1, 2) + Fraction(1, 2 * (q + 2)) * (
-            2 * R(s, j) + 2 * R(t, j) - R(s, t)
-        )
-    s, t = ga
-    u, v = gb
-    return 1 + Fraction(1, 2 * (q + 2)) * (
-        R(s, u) + R(t, u) + R(s, v) + R(t, v) - R(u, v) - R(s, t)
+    r = summary.resistance
+    return Fraction(a_new + b_new, 2) + Fraction(1, 2 * (q + 2)) * (
+        (r[s, u] + r[t, u]) + (r[s, v] + r[t, v]) - r[u, v] - r[s, t]
     )
 
 

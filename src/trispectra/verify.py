@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import iterated, metrics, spectral, transfer
-from .errors import DisconnectedError, TrispectraError, check_q
+from .errors import DisconnectedError, TrispectraError, check_k, check_q
 from .graph import Graph, build_graph, complete_graph, is_bipartite, path_graph
 from .triangulation import q_triangulate
 
@@ -247,7 +247,9 @@ _INDICES = ("kemeny", "multiplicative", "additive", "kirchhoff")
 def suite_telescoping(qmax: int = 3, kmax: int = 6,
                       tol: float = DEFAULT_TOLERANCES["iter"]):
     """Iterated closed forms vs k-fold chained single-step transfers,
-    in exact rationals (must agree identically) and in floats."""
+    in exact rationals (must agree identically) and in floats, for q in
+    1..qmax and k in 0..kmax."""
+    qmax, kmax = check_q(qmax), check_k(kmax)
     bases = [
         (complete_graph(3), iterated.TRIANGLE_BASE),
         (path_graph(2), transfer.GraphSummary(

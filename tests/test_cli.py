@@ -51,6 +51,14 @@ def test_triangulate_missing_file():
     assert code == 2
 
 
+def test_non_utf8_input_is_input_error(tmp_path, capsys):
+    bad = tmp_path / "bad.edges"
+    bad.write_bytes(b"\xff\xfe3 2\n1 2\n2 3\n")
+    code, _ = run_cli(["metrics", "--input", str(bad)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: cannot read {bad}: byte 0 is not UTF-8\n"
+
+
 def test_triangulate_disconnected(tmp_path):
     bad = tmp_path / "disc.edges"
     bad.write_text("4 2\n1 2\n3 4\n")
@@ -172,6 +180,16 @@ def test_metrics_cycle5_golden(fmt, name):
     code, text = run_cli(["metrics", "--graph", "cycle:5", "--format", fmt])
     assert code == 0
     assert text == (GOLDEN / name).read_text()
+
+
+@pytest.mark.parametrize("args, name", [
+    (["--q", "2", "--graph", "path:4"], "transfer_path4_q2.txt"),
+    (["--q", "3", "--graph", "cycle:5"], "transfer_cycle5_q3.txt"),
+])
+def test_transfer_golden(args, name):
+    code, text = run_cli(["transfer", *args])
+    assert code == 0
+    assert text.encode() == (GOLDEN / name).read_bytes()
 
 
 def test_metrics_cycle5_golden_is_exact():

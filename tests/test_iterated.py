@@ -18,6 +18,7 @@ from trispectra.iterated import (
 from trispectra.metrics import hitting_oracle, kirchhoff_indices, resistance_oracle
 from trispectra.transfer import GraphSummary, transferred_summary
 from trispectra.triangulation import iterate_triangulation
+from trispectra.verify import suite_telescoping
 
 
 def test_k0_returns_base():
@@ -117,6 +118,15 @@ def test_bad_arguments():
         iterated_kemeny(TRIANGLE_BASE, 0, 1)
     with pytest.raises(InvalidKError):
         pseudofractal_metrics(1, -1)
+
+
+@pytest.mark.parametrize("qmax, kmax, error", [
+    (0, 6, InvalidQError), (1.5, 6, InvalidQError), (3, -1, InvalidKError),
+])
+def test_telescoping_suite_rejects_bad_ranges(qmax, kmax, error):
+    # an empty range used to pass with zero checks
+    with pytest.raises(error):
+        suite_telescoping(qmax=qmax, kmax=kmax)
 
 
 @pytest.mark.parametrize("fn, k", [

@@ -1,9 +1,10 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from trispectra.errors import InvalidNodeRefError, InvalidQError, SameNodeError
+from trispectra.errors import GraphError, InvalidNodeRefError, InvalidQError, SameNodeError
 from trispectra.graph import complete_graph, path_graph
 from trispectra.metrics import (
     compute_metrics,
@@ -24,7 +25,7 @@ from trispectra.transfer import (
     transfer_resistance,
     transferred_summary,
 )
-from trispectra.triangulation import TriangulationResult, q_triangulate
+from trispectra.triangulation import TriangulationResult, new_node_generator, q_triangulate
 
 K2 = GraphSummary(
     n=2, m=1,
@@ -35,6 +36,23 @@ K2 = GraphSummary(
     resistance=np.array([[Fraction(0), Fraction(1)],
                          [Fraction(1), Fraction(0)]], dtype=object),
     edges=((1, 2),),
+)
+# P3 = 1-2-3 and K3 given by hand, with no graph behind them
+P3 = GraphSummary(
+    n=3, m=2,
+    kemeny=Fraction(3, 2), kirchhoff=Fraction(4), additive=Fraction(10),
+    multiplicative=Fraction(6),
+    hitting=np.array([[0, 1, 4], [3, 0, 3], [4, 1, 0]], dtype=object) * Fraction(1),
+    resistance=np.array([[0, 1, 2], [1, 0, 1], [2, 1, 0]], dtype=object) * Fraction(1),
+    edges=((1, 2), (2, 3)),
+)
+_OFF = np.ones((3, 3), dtype=object) - np.eye(3, dtype=int)
+K3 = GraphSummary(
+    n=3, m=3,
+    kemeny=Fraction(4, 3), kirchhoff=Fraction(2), additive=Fraction(8),
+    multiplicative=Fraction(8),
+    hitting=_OFF * Fraction(2), resistance=_OFF * Fraction(2, 3),
+    edges=((1, 2), (1, 3), (2, 3)),
 )
 
 
@@ -143,29 +161,90 @@ def test_non_integer_and_out_of_range_refs():
 
 
 def test_hand_built_summary_every_new_node_vs_oracle():
-    # P3 = 1-2-3 given by hand (no graph behind it) at q = 2: new nodes
-    # 4..7 are edge (1, 2) and edge (2, 3), copy 1, then both again, copy 2
-    F = Fraction
-    p3 = GraphSummary(
-        n=3, m=2,
-        kemeny=F(3, 2), kirchhoff=F(4), additive=F(10), multiplicative=F(6),
-        hitting=np.array([[0, 1, 4], [3, 0, 3], [4, 1, 0]], dtype=object) * F(1),
-        resistance=np.array([[0, 1, 2], [1, 0, 1], [2, 1, 0]], dtype=object) * F(1),
-        edges=((1, 2), (2, 3)),
-    )
+    # the hand-built P3 at q = 2: new nodes 4..7 are edge (1, 2) and edge
+    # (2, 3), copy 1, then both again, copy 2; the old/old pairs ride along
     q = 2
     r = q_triangulate(path_graph(3), q).result
     hit, res = hitting_oracle(r), resistance_oracle(r)
     new, old = range(4, r.n + 1), range(1, 4)
     pairs = [(x, j) for x in new for j in old] + [(j, x) for x in new for j in old]
     pairs += [(x, y) for x in new for y in new if x != y]
+    pairs += [(i, j) for i in old for j in old if i != j]
     for a, b in pairs:
-        assert float(transfer_hitting(q, p3, a, b)) == pytest.approx(
+        assert float(transfer_hitting(q, P3, a, b)) == pytest.approx(
             hit[a - 1, b - 1], rel=1e-12
         )
-        assert float(transfer_resistance(q, p3, a, b)) == pytest.approx(
+        assert float(transfer_resistance(q, P3, a, b)) == pytest.approx(
             res[a - 1, b - 1], rel=1e-12
         )
+
+
+def _paper_cases(q, summ, a, b):
+    """(hitting a -> b, resistance a, b) in R_q(G) by the paper's case
+    formulas: four directed hitting cases and three resistance cases."""
+    m, c = summ.m, Fraction(2 * q + 1, 2 * (q + 2))
+
+    def T(i, j):
+        return summ.hitting[i - 1, j - 1]
+
+    def r(i, j):
+        return summ.resistance[i - 1, j - 1]
+
+    def edge(x):
+        return None if x <= summ.n else summ.edges[new_node_generator(summ.n, m, q, x)[0] - 1]
+
+    ga, gb = edge(a), edge(b)
+    if ga is None and gb is None:
+        return Fraction(4 * q + 2, q + 2) * T(a, b), Fraction(2, q + 2) * r(a, b)
+    if gb is None:
+        (s, t), j = ga, b
+        return (1 + Fraction(2 * q + 1, q + 2) * (T(s, j) + T(t, j)),
+                Fraction(1, 2) + (2 * r(s, j) + 2 * r(t, j) - r(s, t)) / (2 * (q + 2)))
+    if ga is None:
+        (s, t), j = gb, a
+        return (m * (2 * q + 1) - 1 + c * (2 * (T(j, s) + T(j, t)) - (T(t, s) + T(s, t))),
+                Fraction(1, 2) + (2 * r(s, j) + 2 * r(t, j) - r(s, t)) / (2 * (q + 2)))
+    (s, t), (u, v) = ga, gb
+    return (
+        m * (2 * q + 1)
+        + c * (T(s, u) + T(t, u) + T(s, v) + T(t, v) - (T(u, v) + T(v, u))),
+        1 + (r(s, u) + r(t, u) + r(s, v) + r(t, v) - r(u, v) - r(s, t)) / (2 * (q + 2)),
+    )
+
+
+@pytest.mark.parametrize("summ", [K2, P3, K3], ids=["K2", "P3", "K3"])
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_one_formula_equals_paper_cases_exactly(summ, q):
+    # every ordered pair of distinct nodes of R_q(G), in exact rationals
+    nodes = range(1, summ.n + summ.m * q + 1)
+    for a in nodes:
+        for b in nodes:
+            if a == b:
+                continue
+            hit, res = _paper_cases(q, summ, a, b)
+            assert type(hit) is type(res) is Fraction
+            assert transfer_hitting(q, summ, a, b) == hit
+            assert transfer_resistance(q, summ, a, b) == res
+
+
+def test_summary_fields_must_fit_n_and_m(k3_summary):
+    # each input used to give a raw IndexError or an answer for the wrong m
+    for field, change in (
+        ("edges", {"edges": k3_summary.edges[:2]}),
+        ("edges", {"edges": ((1, 2), (1, 5), (2, 3))}),
+        ("hitting", {"hitting": k3_summary.hitting[:2, :2]}),
+        ("edges", {"m": 2}),
+        # and, as build_graph rejects them, a bool, a float, a self-loop
+        # and a bare number for an edge
+        ("edges", {"edges": ((1, 2), (1, 3), (True, 3))}),
+        ("edges", {"edges": ((1, 2), (1, 3), (2.0, 3))}),
+        ("edges", {"edges": ((1, 2), (1, 3), (3, 3))}),
+        ("edges", {"edges": ((1, 2), (1, 3), 5)}),
+        ("resistance", {"resistance": K2.resistance}),
+        ("resistance", {"resistance": k3_summary.resistance.tolist()}),
+    ):
+        with pytest.raises(GraphError, match=field):
+            replace(k3_summary, **change)
 
 
 @pytest.mark.parametrize("build", [
