@@ -5,11 +5,15 @@ Same arithmetic convention as the single-step transfers: coefficients
 are Fractions, so exact-rational base summaries give exact results and
 float summaries give 64-bit floats.  At k = 0 every ratio power is 1,
 so each correction term vanishes and the base value comes back unchanged.
+The multiplicative index is 2m times Kemeny's constant on every connected
+graph, so it is derived from Kemeny's closed form, not written again (at
+k = 0 it gives the summary's 2m Kemeny).
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
 
 from .errors import FloatOverflowError, check_k, check_q
@@ -17,39 +21,45 @@ from .transfer import GraphSummary
 
 
 def _float_range(closed_form):
-    """Validate q and k, and turn the bare OverflowError that a float
-    summary meets, when an exact coefficient outgrows the float range,
-    into FloatOverflowError naming the closed form, q and k.  Exact
-    summaries never raise it."""
+    """Validate q and k, and turn a float summary's way out of the float
+    range into FloatOverflowError naming the closed form, q and k: the
+    bare OverflowError of an exact coefficient too large for a float, or
+    a float result that is inf or NaN.  Exact summaries never raise it."""
 
     @functools.wraps(closed_form)
     def wrapper(summary, q, k):
         q, k = check_q(q), check_k(k)
         try:
-            return closed_form(summary, q, k)
+            value = closed_form(summary, q, k)
+            finite = not isinstance(value, float) or math.isfinite(value)
         except OverflowError:
+            finite = False
+        if not finite:
             raise FloatOverflowError(
                 f"{closed_form.__name__} at q={q}, k={k} exceeds the float range"
-            ) from None
+            )
+        return value
 
     return wrapper
 
 
 def _growth_powers(q: int, k: int):
-    """The five geometric ratios of the recurrences, each raised to k."""
-    a = Fraction(4 * q + 2, q + 2) ** k            # Kemeny ratio
+    """The geometric ratios of the recurrences, each raised to k.  The
+    Kemeny and additive ratios are one ratio, (4q+2)/(q+2).  The
+    multiplicative ratio is that times the edge growth 2q+1, but is
+    raised on its own, since a * t would reduce by a big-integer gcd."""
+    a = Fraction(4 * q + 2, q + 2) ** k            # Kemeny and additive ratio
     b = Fraction(2 * (2 * q + 1) ** 2, q + 2) ** k  # multiplicative ratio
-    c = Fraction(2 * (2 * q + 1), q + 2) ** k       # additive ratio
     e = Fraction(2, q + 2) ** k                     # Kirchhoff ratio
     t = (2 * q + 1) ** k                            # edge growth
-    return a, b, c, e, t
+    return a, b, e, t
 
 
 @_float_range
 def iterated_kemeny(summary: GraphSummary, q: int, k: int):
     """Kemeny's constant after k iterations."""
     n, m = summary.n, summary.m
-    a, _, _, _, t = _growth_powers(q, k)
+    a, _, _, t = _growth_powers(q, k)
     return (
         a * summary.kemeny
         + Fraction(m * (2 * q + 3), 2 * (2 * q + 1)) * (t - a)
@@ -59,30 +69,20 @@ def iterated_kemeny(summary: GraphSummary, q: int, k: int):
 
 @_float_range
 def iterated_multiplicative(summary: GraphSummary, q: int, k: int):
-    """Multiplicative degree-Kirchhoff index after k iterations."""
-    n, m = summary.n, summary.m
-    _, b, _, _, t = _growth_powers(q, k)
-    t2 = (2 * q + 1) ** (2 * k)
-    return (
-        b * summary.multiplicative
-        + Fraction(m * m * (2 * q + 3), 2 * q + 1) * (t2 - b)
-        + (
-            Fraction(2 * m * (q - 1), 3 * (2 * q + 1))
-            + Fraction(m * (m - 2 * n), 3)
-        )
-        * (b - t)
-    )
+    """Multiplicative degree-Kirchhoff index after k iterations:
+    Kf* = 2m Kemeny on every connected graph, and the iterate has
+    m (2q+1)^k edges."""
+    return 2 * summary.m * (2 * q + 1) ** k * iterated_kemeny.__wrapped__(summary, q, k)
 
 
 @_float_range
 def iterated_additive(summary: GraphSummary, q: int, k: int):
     """Additive degree-Kirchhoff index after k iterations."""
     n, m = summary.n, summary.m
-    _, b, c, _, t = _growth_powers(q, k)
-    t2 = (2 * q + 1) ** (2 * k)
+    a, b, _, t = _growth_powers(q, k)
     return (
-        c * summary.additive
-        + (b - c)
+        a * summary.additive
+        + (b - a)
         * (
             summary.multiplicative * Fraction(1, 2)
             - Fraction(
@@ -90,14 +90,14 @@ def iterated_additive(summary: GraphSummary, q: int, k: int):
                 3 * (2 * q + 1),
             )
         )
-        + (t2 - c)
+        + (t * t - a)
         * Fraction(m * m * (2 * q + 3) * (6 * q + 11), 4 * (2 * q + 1) * (2 * q + 5))
-        + (c - t)
+        + (a - t)
         * (
             Fraction(m, 2 * (2 * q + 1))
             + Fraction((q + 2) * m * (m - 2 * n + 1), 3 * (2 * q + 1))
         )
-        - (c - 1) * Fraction((m - 2 * n) * (m - 2 * n + 2), 12)
+        - (a - 1) * Fraction((m - 2 * n) * (m - 2 * n + 2), 12)
     )
 
 
@@ -105,8 +105,7 @@ def iterated_additive(summary: GraphSummary, q: int, k: int):
 def iterated_kirchhoff(summary: GraphSummary, q: int, k: int):
     """Kirchhoff index after k iterations."""
     n, m = summary.n, summary.m
-    _, b, c, e, t = _growth_powers(q, k)
-    t2 = (2 * q + 1) ** (2 * k)
+    a, b, e, t = _growth_powers(q, k)
     return (
         e * summary.kirchhoff
         + (b - e)
@@ -116,7 +115,7 @@ def iterated_kirchhoff(summary: GraphSummary, q: int, k: int):
             - Fraction(m * n, 24)
             + Fraction(m * (q - 1), 24 * (2 * q + 1))
         )
-        + (c - e)
+        + (a - e)
         * (
             summary.additive * Fraction(1, 4)
             - summary.multiplicative * Fraction(1, 8)
@@ -124,7 +123,7 @@ def iterated_kirchhoff(summary: GraphSummary, q: int, k: int):
             + Fraction(m * (2 * n * (q - 1) - q + 4), 12 * (2 * q + 1))
             - Fraction(n * (n - 1), 12)
         )
-        + (t2 - e)
+        + (t * t - e)
         * Fraction(m * m * (2 * q + 3) ** 2, 8 * (2 * q + 1) * (2 * q + 5))
         - (t - e)
         * (
@@ -157,30 +156,26 @@ def pseudofractal_metrics(q: int, k: int):
     pseudofractal web built with parameter q, as exact Fractions."""
     q = check_q(q)
     k = check_k(k)
-    a, b, c, e, _ = _growth_powers(q, k)
+    a, b, e, t = _growth_powers(q, k)
     tkm1 = Fraction(2 * q + 1) ** (k - 1)
-    t2 = Fraction(2 * q + 1) ** (2 * k)
+    t2 = t * t
     kem = (
         Fraction(3 * (2 * q + 3), 2) * tkm1
         - Fraction(q + 4, 2 * q + 1) * a
         + Fraction(4 * q + 5, 6 * (2 * q + 1))
     )
-    mul = (
-        Fraction(9 * (2 * q + 3), 2 * q + 1) * t2
-        - Fraction(6 * (q + 4), 2 * q + 1) * b
-        + (4 * q + 5) * tkm1
-    )
+    mul = 6 * t * kem
     add = (
         Fraction(9 * (2 * q + 3) * (6 * q + 11), 4 * (2 * q + 1) * (2 * q + 5)) * t2
         - Fraction(3 * (q + 4), 2 * q + 1) * b
-        + Fraction(3 * (q + 4), 2 * q + 5) * c
+        + Fraction(3 * (q + 4), 2 * q + 5) * a
         + Fraction(4 * q + 5, 2) * tkm1
         + Fraction(1, 4)
     )
     kir = (
         Fraction(9 * (2 * q + 3) ** 2, 8 * (2 * q + 1) * (2 * q + 5)) * t2
         - Fraction(3 * (q + 4), 8 * (2 * q + 1)) * b
-        + Fraction(3 * (q + 4), 4 * (2 * q + 5)) * c
+        + Fraction(3 * (q + 4), 4 * (2 * q + 5)) * a
         + Fraction((q + 1) * (4 * q + 5), 2 * (2 * q + 5)) * tkm1
         + Fraction(5 * (q + 4), 8 * (2 * q + 5)) * e
         - Fraction(1, 8)

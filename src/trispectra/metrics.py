@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularSystemError, TrispectraError
-from .graph import Graph, is_bipartite
+from .graph import Graph
 from .spectral import Spectrum, eigendecompose
 
 _SOLVE_RESIDUAL = 1e-10
@@ -73,30 +73,26 @@ def resistance_oracle(g: Graph) -> np.ndarray:
 # ---- spectral route ---------------------------------------------------
 
 
-def _green(spec: Spectrum, upper: int) -> np.ndarray:
-    """U diag(1/(1 - lambda_k)) U^T over k = 2..upper, U = D^{-1/2} V.
+def _green(spec: Spectrum) -> np.ndarray:
+    """U diag(1/(1 - lambda_k)) U^T over every k >= 2, U = D^{-1/2} V.
 
     Written as S S^T with S = U diag(1/sqrt(1 - lambda_k)), so the
-    product is exactly symmetric.
+    product is exactly symmetric.  For bipartite G, lambda_n = -1 enters
+    through the finite denominator 2: with s the +-1 vector of the
+    2-colouring, its term is s s^T / (4m).
     """
-    u = spec.eigenvectors[:, 1:upper] / np.sqrt(spec.graph.degrees)[:, None]
-    s = u / np.sqrt(1.0 - spec.eigenvalues[1:upper])
+    u = spec.eigenvectors[:, 1:] / np.sqrt(spec.graph.degrees)[:, None]
+    s = u / np.sqrt(1.0 - spec.eigenvalues[1:])
     return s @ s.T
 
 
 def hitting_spectral_matrix(spec: Spectrum) -> np.ndarray:
     """Hitting times of spec.graph, T_ij = 2m (G_jj - G_ij) with G =
-    _green over k >= 2.  For bipartite G the k = n term is dropped and
-    +1 is added iff i and j lie in different parts of the 2-coloring.
+    _green.  On a bipartite graph the lambda_n = -1 term adds
+    (1 - s_i s_j) / 2: 1 iff i and j lie in different parts.
     """
-    g = spec.graph
-    bipartite, parts = is_bipartite(g)
-    green = _green(spec, g.n - 1 if bipartite else g.n)
-    h = 2.0 * g.m * (np.diag(green)[None, :] - green)
-    if bipartite:
-        side = np.isin(np.arange(1, g.n + 1), list(parts[0]))
-        h += side[:, None] != side[None, :]
-    return h
+    green = _green(spec)
+    return 2.0 * spec.graph.m * (np.diag(green)[None, :] - green)
 
 
 def kemeny(spec: Spectrum) -> float:
@@ -106,12 +102,8 @@ def kemeny(spec: Spectrum) -> float:
 
 def resistance_spectral_matrix(spec: Spectrum) -> np.ndarray:
     """Resistances of spec.graph, r_ij = G_ii + G_jj - 2 G_ij with
-    G = _green over all k >= 2.
-
-    The k = n term is kept even for bipartite graphs: lambda_n = -1
-    contributes finitely through the denominator 2.
-    """
-    green = _green(spec, spec.graph.n)
+    G = _green."""
+    green = _green(spec)
     diag = np.diag(green)
     return diag[:, None] + diag[None, :] - 2.0 * green
 

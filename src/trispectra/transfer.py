@@ -24,9 +24,10 @@ class GraphSummary:
     Scalars may be floats or Fractions.  ``hitting`` and ``resistance``
     (full n x n matrices of G, 0-based numpy arrays) and ``edges`` (G's m
     edges in canonical order, edge e at position e - 1) are only needed
-    for the two-node transfers.  GraphError, naming the field, unless
-    ``edges`` is m pairs of distinct nodes in 1..n and each matrix has
-    shape (n, n).
+    for the two-node transfers.  GraphError, naming the field, unless n
+    and m are integers with n >= 2 and n - 1 <= m <= n(n-1)/2 (a
+    connected simple graph), ``edges`` is m pairs of distinct nodes in
+    1..n and each matrix has shape (n, n).
     """
 
     n: int
@@ -41,6 +42,11 @@ class GraphSummary:
 
     def __post_init__(self):
         n, m = self.n, self.m
+        if not (is_index(n, n) and n >= 2):
+            raise GraphError(f"n must be an integer >= 2, got {n!r}")
+        top = n * (n - 1) // 2
+        if not (is_index(m, top) and m >= n - 1):
+            raise GraphError(f"m must be an integer in {n - 1}..{top}, got {m!r}")
         try:
             fits = self.edges is None or len(self.edges) == m and all(
                 len(e) == 2 and e[0] != e[1] and is_index(e[0], n) and is_index(e[1], n)
@@ -181,15 +187,13 @@ def transfer_additive(q: int, summary: GraphSummary):
 
 
 def transfer_kirchhoff(q: int, summary: GraphSummary):
-    """Kirchhoff index of R_q(G)."""
+    """Kirchhoff index of R_q(G): the old pairs, whose resistances scale
+    by 2/(q+2), plus the new/old and the new/new pair sums."""
     q = check_q(q)
-    n, m = summary.n, summary.m
     return (
         Fraction(2, q + 2) * summary.kirchhoff
-        + Fraction(q, q + 2) * summary.additive
-        + Fraction(q * q, 2 * (q + 2)) * summary.multiplicative
-        + Fraction(m * m * q * q, 2)
-        + Fraction((2 * m - n) * (n - 1) * q, 2 * (q + 2))
+        + new_old_resistance_sum(q, summary)
+        + new_pair_resistance_sum(q, summary)
     )
 
 

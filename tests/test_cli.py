@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import inspect
 import io
 import json
@@ -167,6 +168,21 @@ def test_pseudofractal_json_17_digits():
     code, text = run_cli(["pseudofractal", "--q", "1", "--kmax", "1", "--format", "json"])
     rows = json.loads(text)
     assert rows[1]["kemeny"] == pytest.approx(14 / 3, abs=1e-15)
+
+
+@pytest.mark.parametrize("q, kmax, digest", [
+    (1, 321, "b1484164889dca683fb2a57d094de101dae9ba3088cd446a85db7c9c99a546d2"),
+    (2, 219, "25aadaa00fb392ead7f5de860510dd930279fd304511956cfa4ef9c6e94bc65c"),
+    (3, 181, "78d2b913aedb68adcfeb1ecdcded14e092fc4bf504753e100a00ef5db9056830"),
+])
+def test_pseudofractal_json_bytes(q, kmax, digest):
+    """The exact closed forms, rounded once to float, up to the largest
+    k whose row fits: the JSON bytes are pinned by their SHA-256."""
+    code, text = run_cli(
+        ["pseudofractal", "--q", str(q), "--kmax", str(kmax), "--format", "json"]
+    )
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 GOLDEN = Path(__file__).parent / "golden"

@@ -137,17 +137,22 @@ def test_telescoping_suite_rejects_bad_ranges(qmax, kmax, error):
 ])
 def test_float_overflow_is_typed(fn, k):
     """A float summary whose closed form outgrows the float range raises
-    FloatOverflowError naming the function, q and k; the exact summary
-    at the same point still gives a Fraction, and a float one at small k
-    still gives a float."""
+    FloatOverflowError naming the function, q and k, whether an exact
+    coefficient is too large for a float or the float result is inf; the
+    exact summary at the same point still gives a Fraction, and a float
+    one at small k still gives a float."""
     base = GraphSummary(
         n=3, m=3, kemeny=4 / 3, kirchhoff=2.0, additive=8.0, multiplicative=8.0
     )
-    with pytest.raises(trispectra.FloatOverflowError) as info:
-        fn(base, 1, k)
-    assert isinstance(info.value, trispectra.TrispectraError)
-    assert str(info.value) == f"{fn.__name__} at q=1, k={k} exceeds the float range"
-    assert info.value.__cause__ is None
+    huge = GraphSummary(
+        n=3, m=3, kemeny=1e300, kirchhoff=1e300, additive=1e300, multiplicative=1e300
+    )
+    for summary, at in ((base, k), (huge, 30)):
+        with pytest.raises(trispectra.FloatOverflowError) as info:
+            fn(summary, 1, at)
+        assert isinstance(info.value, trispectra.TrispectraError)
+        assert str(info.value) == f"{fn.__name__} at q=1, k={at} exceeds the float range"
+        assert info.value.__cause__ is None
     assert type(fn(TRIANGLE_BASE, 1, k)) is Fraction
     assert float(fn(base, 1, 5)) == pytest.approx(float(fn(TRIANGLE_BASE, 1, 5)), rel=1e-12)
 

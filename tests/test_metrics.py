@@ -61,7 +61,7 @@ def test_hitting_spectral_matches():
     k3 = complete_graph(3)
     assert hitting_spectral_matrix(eigendecompose(k3))[0, 1] == pytest.approx(2.0)
     k2 = complete_graph(2)
-    # bipartite branch with the +1 correction for opposite parts
+    # bipartite: the lambda_n = -1 term gives the 1 between opposite parts
     assert hitting_spectral_matrix(eigendecompose(k2))[0, 1] == pytest.approx(1.0)
     c4 = cycle_graph(4)
     assert hitting_spectral_matrix(eigendecompose(c4))[0, 2] == pytest.approx(4.0)

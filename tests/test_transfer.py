@@ -93,11 +93,17 @@ def test_scalar_values_k3(k3_summary):
 
 
 def test_multiplicative_is_2m_kemeny(k3_summary):
+    # Kf* = 2m Kemeny on every connected graph, so R_q(G), with m(2q+1)
+    # edges, keeps it; the iterated closed form relies on this
     for q in (1, 2, 3):
         mt = 2 * k3_summary.m * (2 * q + 1)
         assert float(transfer_multiplicative(q, k3_summary)) == pytest.approx(
             mt * float(transfer_kemeny(q, k3_summary))
         )
+        for summ in (K2, P3, K3):
+            assert summ.multiplicative == 2 * summ.m * summ.kemeny
+            mt = 2 * summ.m * (2 * q + 1)
+            assert transfer_multiplicative(q, summ) == mt * transfer_kemeny(q, summ)
 
 
 def test_hitting_cases_k2():
@@ -242,9 +248,22 @@ def test_summary_fields_must_fit_n_and_m(k3_summary):
         ("edges", {"edges": ((1, 2), (1, 3), 5)}),
         ("resistance", {"resistance": K2.resistance}),
         ("resistance", {"resistance": k3_summary.resistance.tolist()}),
+        # n and m themselves: n = -3 gave a Kirchhoff index of -1.5, and
+        # m = 2.5 a raw TypeError from transferred_summary
+        ("n", {"n": -3, "m": 2}),
+        ("n", {"n": 1, "m": 0}),
+        ("n", {"n": 3.0}),
+        ("n", {"n": True}),
+        ("m", {"m": 2.5}),
+        ("m", {"m": True}),
+        ("m", {"m": 1}),
+        ("m", {"m": 4}),
     ):
-        with pytest.raises(GraphError, match=field):
+        with pytest.raises(GraphError, match=f"^{field} must"):
             replace(k3_summary, **change)
+        if field in ("n", "m"):
+            with pytest.raises(GraphError, match=f"^{field} must"):
+                replace(k3_summary, hitting=None, resistance=None, edges=None, **change)
 
 
 @pytest.mark.parametrize("build", [
