@@ -16,7 +16,7 @@ import functools
 import math
 from fractions import Fraction
 
-from .errors import FloatOverflowError, check_k, check_q
+from .errors import FloatOverflowError, GraphError, check_k, check_q
 from .transfer import GraphSummary
 
 
@@ -71,7 +71,16 @@ def iterated_kemeny(summary: GraphSummary, q: int, k: int):
 def iterated_multiplicative(summary: GraphSummary, q: int, k: int):
     """Multiplicative degree-Kirchhoff index after k iterations:
     Kf* = 2m Kemeny on every connected graph, and the iterate has
-    m (2q+1)^k edges."""
+    m (2q+1)^k edges.  GraphError naming ``multiplicative`` unless the
+    base summary satisfies the identity: exactly for exact fields, to
+    1e-9 relative when either field is a float."""
+    got, want = summary.multiplicative, 2 * summary.m * summary.kemeny
+    if isinstance(got, float) or isinstance(want, float):
+        holds = math.isclose(got, want, rel_tol=1e-9)
+    else:
+        holds = got == want
+    if not holds:
+        raise GraphError(f"multiplicative {got} breaks Kf* = 2m Kemeny = {want}")
     return 2 * summary.m * (2 * q + 1) ** k * iterated_kemeny.__wrapped__(summary, q, k)
 
 

@@ -15,9 +15,7 @@ import numpy as np
 
 from .errors import SingularSystemError, TrispectraError
 from .graph import Graph
-from .spectral import Spectrum, eigendecompose
-
-_SOLVE_RESIDUAL = 1e-10
+from .spectral import _SOLVE_RESIDUAL, Spectrum, eigendecompose
 
 
 @dataclass(frozen=True, eq=False)

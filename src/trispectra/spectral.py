@@ -23,6 +23,8 @@ from .graph import Graph, is_bipartite
 RANK_CUTOFF = 1e-9
 
 _EIG_RESIDUAL = 1e-10
+#: direct inverses, here and in metrics, are checked to this residual times n
+_SOLVE_RESIDUAL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,31 +90,25 @@ def _null_space(a: np.ndarray) -> np.ndarray:
     return vh[rank:].T
 
 
-def _kernel_of_b(g: Graph, q: int) -> np.ndarray:
-    """Orthonormal basis N of ker B, checked to sqrt(q) ||B N|| <= 1e-10,
-    the residual ||C y|| of the ker C columns 1_q/sqrt(q) (x) N."""
+def kernel_basis(g: Graph, q: int) -> np.ndarray:
+    """Orthonormal basis of ker(C), C = q horizontal copies of B.
+
+    C = 1_q^T (x) B, so ker C = (ker 1_q^T (x) I_m) + (1_q/sqrt(q) (x) ker B),
+    and only the n x m matrix B is decomposed.  Returns an (m*q) x dim
+    matrix whose columns y satisfy ||C y|| = sqrt(q) ||B N|| <= 1e-10,
+    N the basis of ker B.  dim equals m*q - rank(B): m*q - n for
+    non-bipartite G, m*q - n + 1 for bipartite G.
+    """
+    q = check_q(q)
     b = g.incidence_matrix().astype(float)
     null_b = _null_space(b)
     if null_b.size:
         worst = np.sqrt(q) * np.linalg.norm(b @ null_b, axis=0).max()
         if worst > 1e-10:
             raise ConvergenceFailure(f"ker B residual {worst:.3e} exceeds 1e-10")
-    return null_b
-
-
-def kernel_basis(g: Graph, q: int) -> np.ndarray:
-    """Orthonormal basis of ker(C), C = q horizontal copies of B.
-
-    C = 1_q^T (x) B, so ker C = (ker 1_q^T (x) I_m) + (1_q/sqrt(q) (x) ker B),
-    and only the n x m matrix B is decomposed.  Returns an (m*q) x dim
-    matrix whose columns y satisfy ||C y|| <= 1e-10.  dim equals
-    m*q - rank(B): m*q - n for non-bipartite G, m*q - n + 1 for
-    bipartite G.
-    """
-    q = check_q(q)
     return np.hstack([
         np.kron(_null_space(np.ones((1, q))), np.eye(g.m)),
-        np.kron(np.full((q, 1), 1.0 / np.sqrt(q)), _kernel_of_b(g, q)),
+        np.kron(np.full((q, 1), 1.0 / np.sqrt(q)), null_b),
     ])
 
 
@@ -173,6 +169,27 @@ def lift_spectrum(spec: Spectrum, q: int) -> LiftedSpectrum:
     return LiftedSpectrum(eigenvalues=vals, eigenvectors=mat, branches=branches)
 
 
+def _signless_pinv(g: Graph, bipartite: bool) -> np.ndarray:
+    """Q^+ of the signless Laplacian Q = A + D = B B^T, as
+    (Q + z z^T)^{-1} - z z^T: z spans ker Q, the unit +-1 vector of the
+    2-colouring, on a bipartite graph, and is 0 otherwise.  Checked to
+    ||Q Q^+ - (I - z z^T)||_max <= 1e-10 n."""
+    n = g.n
+    signless = (g.adjacency_matrix() + np.diag(g.degrees)).astype(float)
+    z = (1.0 - 2.0 * g._colours) / np.sqrt(n) if bipartite else np.zeros(n)
+    zz = np.outer(z, z)
+    try:
+        pinv = np.linalg.inv(signless + zz) - zz
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure("signless Laplacian plus z z^T is singular") from exc
+    worst = np.abs(signless @ pinv - (np.eye(n) - zz)).max()
+    if worst > _SOLVE_RESIDUAL * n:
+        raise ConvergenceFailure(
+            f"signless Laplacian inverse residual {worst:.3e} exceeds tolerance"
+        )
+    return pinv
+
+
 def kernel_sum_residual(spec: Spectrum, q: int) -> np.ndarray:
     """Residuals of the kernel-sum identity at every generator edge of
     G = spec.graph.
@@ -181,21 +198,22 @@ def kernel_sum_residual(spec: Spectrum, q: int) -> np.ndarray:
     R_q(G) sum to the diagonal entry of the projector onto ker C,
     1 - 1/q + (P_B)_ee / q, where P_B projects onto ker B and e is the
     node's generator edge {s, t}; it does not depend on the node's copy.
-    The identity equates this with 1 - 1/(mq) minus a spectral sum over
-    the nontrivial eigenvalues of G.  Returns |LHS - RHS| of shape (m,),
-    entry e - 1 for edge e; new node x reads the entry of its edge e from
-    triangulation.new_node_generator.
-    ker B comes from the same checked helper as kernel_basis.
+    (P_B)_ee = 1 - b_e^T Q^+ b_e with b_e = e_s + e_t and Q = B B^T the
+    signless Laplacian, inverted directly.  The identity equates this
+    with 1 - 1/(mq) minus a spectral sum over the nontrivial eigenvalues
+    of G, which is Q^+'s spectral form.  Returns |LHS - RHS| of shape
+    (m,), entry e - 1 for edge e; new node x reads the entry of its edge
+    e from triangulation.new_node_generator.
     """
     q, g = check_q(q), spec.graph
-    null_b = _kernel_of_b(g, q)
-    lhs = 1.0 - 1.0 / q + (null_b ** 2).sum(axis=1) / q
-
     bipartite, _ = is_bipartite(g)
+    pinv = _signless_pinv(g, bipartite)
+    s, t = g._ends.T
+    lhs = 1.0 - (pinv[s, s] + pinv[t, t] + 2.0 * pinv[s, t]) / q
+
     upper = g.n - 1 if bipartite else g.n
     scaled = spec.eigenvectors[:, 1:upper] / np.sqrt(g.degrees)[:, None]
-    ends = np.array(g.edges) - 1
-    term = scaled[ends[:, 0]] + scaled[ends[:, 1]]
+    term = scaled[s] + scaled[t]
     lam = spec.eigenvalues[1:upper]
     rhs = 1.0 - 1.0 / (g.m * q) - (term ** 2 / ((1.0 + lam) * q)).sum(axis=1)
     return np.abs(lhs - rhs)

@@ -12,8 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import GraphError, InvalidNodeRefError, check_k, check_q, is_index
-from .graph import Graph, build_graph
+from .graph import Graph
 
 
 @dataclass(frozen=True)
@@ -56,14 +58,23 @@ def new_node_generator(n: int, m: int, q: int, x) -> tuple:
 
 
 def q_triangulate(g: Graph, q: int) -> TriangulationResult:
-    """Construct R_q(G)."""
+    """Construct R_q(G).
+
+    The canonical edge tuple comes straight from G's endpoint array: G's
+    edges, then (s, x) and (t, x) for each new node x of edge {s, t},
+    lexsorted.  R_q(G) of a valid G is simple and connected, so
+    build_graph's per-edge validation is skipped.
+    """
     q = check_q(q)
-    edges = list(g.edges)
+    n, m = g.n, g.m
     # copy f of edge e is node n + (f-1)m + e: copies of G's edge list in turn
-    for x, (s, t) in enumerate(g.edges * q, start=g.n + 1):
-        edges += [(s, x), (t, x)]
-    result = build_graph(g.n + g.m * q, edges)
-    return TriangulationResult(result=result, base=g, q=q)
+    new = np.arange(n + 1, n + m * q + 1)
+    s, t = np.tile(g._ends.T + 1, q)
+    low = np.concatenate([g._ends[:, 0] + 1, s, t])
+    high = np.concatenate([g._ends[:, 1] + 1, new, new])
+    order = np.lexsort((high, low))
+    edges = tuple(zip(low[order].tolist(), high[order].tolist()))
+    return TriangulationResult(result=Graph(n=n + m * q, edges=edges), base=g, q=q)
 
 
 def iterate_triangulation(g: Graph, q: int, k: int) -> list:

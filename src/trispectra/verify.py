@@ -143,22 +143,21 @@ def make_corpus(seed: int, trials: int, nmax: int, qmax: int,
 
 
 def suite_spectrum_lift(cases, tol_eig: float, tol_resid: float):
-    """Lifted spectrum vs direct eigendecomposition of constructed R_q(G).
+    """Lifted spectrum vs the eigenvalues of constructed R_q(G), from
+    eigvalsh of its normalized adjacency P.
 
-    The lifted eigenvectors' residual is its own check, scaled by
-    tol_eig / (tol_resid * N) so that it is gated on the eigenvalue scale.
+    The lifted eigenvectors' residual against the same P is its own
+    check, scaled by tol_eig / (tol_resid * N) so that it is gated on the
+    eigenvalue scale.
     """
     checks = []
     for g, q in cases:
-        spec = spectral.eigendecompose(g)
-        lifted = spectral.lift_spectrum(spec, q)
+        lifted = spectral.lift_spectrum(spectral.eigendecompose(g), q)
         r = q_triangulate(g, q).result
-        direct = spectral.eigendecompose(r)
-        gap = np.abs(np.sort(lifted.eigenvalues) - np.sort(direct.eigenvalues)).max()
+        p = r.normalized_adjacency()
+        gap = np.abs(np.sort(lifted.eigenvalues) - np.linalg.eigvalsh(p)).max()
         u = lifted.eigenvectors
-        resid = np.linalg.norm(
-            r.normalized_adjacency() @ u - u * lifted.eigenvalues, axis=0
-        ).max()
+        resid = np.linalg.norm(p @ u - u * lifted.eigenvalues, axis=0).max()
         checks += [
             Check("eigenvalue multiset", gap, 0.0, (g, q)),
             Check("eigenvector residual", resid / (tol_resid * r.n) * tol_eig, 0.0, (g, q)),
@@ -224,7 +223,7 @@ def suite_identities(cases, tol: float):
             rep = metrics.compute_metrics(graph, "oracle")
             hit, res = rep.hitting, rep.resistance
             spec = spectral.eigendecompose(graph)
-            foster = sum(res[i - 1, j - 1] for i, j in graph.edges)
+            foster = res[graph._ends[:, 0], graph._ends[:, 1]].sum()
             kem = metrics.kemeny(spec)
             pi = graph.stationary_distribution()
             rows = [

@@ -145,7 +145,7 @@ def test_float_overflow_is_typed(fn, k):
         n=3, m=3, kemeny=4 / 3, kirchhoff=2.0, additive=8.0, multiplicative=8.0
     )
     huge = GraphSummary(
-        n=3, m=3, kemeny=1e300, kirchhoff=1e300, additive=1e300, multiplicative=1e300
+        n=3, m=3, kemeny=1e300, kirchhoff=1e300, additive=1e300, multiplicative=6e300
     )
     for summary, at in ((base, k), (huge, 30)):
         with pytest.raises(trispectra.FloatOverflowError) as info:
@@ -155,6 +155,28 @@ def test_float_overflow_is_typed(fn, k):
         assert info.value.__cause__ is None
     assert type(fn(TRIANGLE_BASE, 1, k)) is Fraction
     assert float(fn(base, 1, 5)) == pytest.approx(float(fn(TRIANGLE_BASE, 1, 5)), rel=1e-12)
+
+
+def test_multiplicative_needs_2m_kemeny():
+    # Kf* = 2m K holds on every connected graph; a base summary that
+    # breaks it is refused, exactly for Fractions and to 1e-9 for floats
+    broken = GraphSummary(
+        n=3, m=3, kemeny=Fraction(4, 3), kirchhoff=Fraction(2),
+        additive=Fraction(8), multiplicative=Fraction(100),
+    )
+    off = GraphSummary(
+        n=3, m=3, kemeny=4 / 3, kirchhoff=2.0, additive=8.0, multiplicative=8.0 * (1 + 1e-8)
+    )
+    near = GraphSummary(
+        n=3, m=3, kemeny=4 / 3, kirchhoff=2.0, additive=8.0, multiplicative=8.0 * (1 + 1e-10)
+    )
+    for summary in (broken, off):
+        for k in (0, 1):
+            with pytest.raises(trispectra.GraphError, match="^multiplicative "):
+                iterated_multiplicative(summary, 1, k)
+    assert iterated_multiplicative(near, 1, 1) == pytest.approx(
+        float(iterated_multiplicative(TRIANGLE_BASE, 1, 1)), rel=1e-12
+    )
 
 
 def test_check_k():

@@ -166,26 +166,35 @@ def test_kernel_sum_lhs_matches_basis_rows(small_corpus):
 
 def test_kernel_sum_skips_kernel_basis(monkeypatch):
     def refuse(*args):
-        raise AssertionError("kernel_basis called")
+        raise AssertionError("SVD route called")
 
     monkeypatch.setattr(spectral, "kernel_basis", refuse)
+    monkeypatch.setattr(spectral, "_null_space", refuse)
     g = cycle_graph(5)
     assert kernel_sum_residual(eigendecompose(g), 2).max() < 1e-12
 
 
-@pytest.mark.parametrize("caller", [
-    lambda g: kernel_sum_residual(eigendecompose(g), 2),
-    lambda g: kernel_basis(g, 2),
-], ids=["kernel_sum_residual", "kernel_basis"])
+@pytest.mark.parametrize("caller", [lambda g: kernel_basis(g, 2)], ids=["kernel_basis"])
 def test_kernel_sum_checks_null_space(monkeypatch, caller):
-    # a "null space" that B does not annihilate must be caught by both
-    # callers of the one ker B helper
+    # a "null space" that B does not annihilate must be caught by the
+    # owner of ker B; kernel_sum_residual never takes one
     g = cycle_graph(5)
     monkeypatch.setattr(
         spectral, "_null_space", lambda a: np.eye(a.shape[1])[:, :1]
     )
     with pytest.raises(ConvergenceFailure):
         caller(g)
+
+
+@pytest.mark.parametrize("g", [cycle_graph(5), cycle_graph(6)], ids=["odd", "bipartite"])
+def test_kernel_sum_checks_signless_inverse(monkeypatch, g):
+    # an inverse of Q + z z^T that is off by 1e-6 must be caught, whether
+    # z is 0 or the colouring vector
+    spec = eigendecompose(g)
+    inv = np.linalg.inv
+    monkeypatch.setattr(spectral.np.linalg, "inv", lambda a: inv(a) + 1e-6)
+    with pytest.raises(ConvergenceFailure):
+        kernel_sum_residual(spec, 2)
 
 
 def test_kernel_sum_input_contract():

@@ -26,6 +26,25 @@ def test_k3_q1_sizes_and_degrees():
     assert sorted(r.degrees) == [2, 2, 2, 4, 4, 4]
 
 
+def _naive_triangulation(g, q):
+    """R_q(G) through build_graph, from the edge list written out by hand."""
+    edges = list(g.edges)
+    for x, (s, t) in enumerate(g.edges * q, start=g.n + 1):
+        edges += [(s, x), (t, x)]
+    return build_graph(g.n + g.m * q, edges)
+
+
+def test_q_triangulate_matches_build_graph(acceptance_corpus):
+    for q in (1, 2, 3):
+        webs = [complete_graph(3)]  # R_{q,k}(K3) for k <= 2, so results reach k = 3
+        for _ in range(2):
+            webs.append(_naive_triangulation(webs[-1], q))
+        for g in [g for g, _ in acceptance_corpus] + webs:
+            got, want = q_triangulate(g, q).result, _naive_triangulation(g, q)
+            assert (got.n, got.edges) == (want.n, want.edges)
+            assert all(type(i) is int for edge in got.edges for i in edge)
+
+
 def test_k2_q2():
     tri = q_triangulate(complete_graph(2), 2)
     assert (tri.result.n, tri.result.m) == (4, 5)
