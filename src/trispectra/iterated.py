@@ -162,31 +162,25 @@ TRIANGLE_BASE = GraphSummary(
 
 def pseudofractal_metrics(q: int, k: int):
     """(Kemeny, multiplicative, additive, Kirchhoff) of the k-th
-    pseudofractal web built with parameter q, as exact Fractions."""
-    q = check_q(q)
-    k = check_k(k)
-    a, b, e, t = _growth_powers(q, k)
-    tkm1 = Fraction(2 * q + 1) ** (k - 1)
-    t2 = t * t
-    kem = (
-        Fraction(3 * (2 * q + 3), 2) * tkm1
-        - Fraction(q + 4, 2 * q + 1) * a
-        + Fraction(4 * q + 5, 6 * (2 * q + 1))
-    )
-    mul = 6 * t * kem
-    add = (
-        Fraction(9 * (2 * q + 3) * (6 * q + 11), 4 * (2 * q + 1) * (2 * q + 5)) * t2
-        - Fraction(3 * (q + 4), 2 * q + 1) * b
-        + Fraction(3 * (q + 4), 2 * q + 5) * a
-        + Fraction(4 * q + 5, 2) * tkm1
-        + Fraction(1, 4)
-    )
-    kir = (
-        Fraction(9 * (2 * q + 3) ** 2, 8 * (2 * q + 1) * (2 * q + 5)) * t2
-        - Fraction(3 * (q + 4), 8 * (2 * q + 1)) * b
-        + Fraction(3 * (q + 4), 4 * (2 * q + 5)) * a
-        + Fraction((q + 1) * (4 * q + 5), 2 * (2 * q + 5)) * tkm1
-        + Fraction(5 * (q + 4), 8 * (2 * q + 5)) * e
-        - Fraction(1, 8)
-    )
-    return kem, mul, add, kir
+    pseudofractal web built with parameter q, as exact Fractions.
+
+    Kemeny, additive and Kirchhoff are each one integer numerator over
+    L = 24(2q+1)^2(2q+5)(q+2)^k, so each is normalised by one gcd, not by
+    one per step of a Fraction chain.  That is cheaper up to k of about
+    1000; far beyond, one gcd of two big integers costs more than the
+    chain's gcds against small ones.  The ratio powers a, b, e of the
+    iterated forms share the denominator (q+2)^k; their numerators are
+    2^k t, 2^k t^2 and 2^k with t = (2q+1)^k.  t^(k-1), which is 1/(2q+1)
+    at k = 0, enters as t/(2q+1) over L's second factor 2q+1."""
+    q, k = check_q(q), check_k(k)
+    u, v, w, c, d = 2 * q + 1, 2 * q + 5, 2 * q + 3, q + 4, 4 * q + 5
+    t, p = u**k, (q + 2) ** k
+    tt, pt = t * t, p * t
+    ptt, a, b, e = pt * t, t << k, tt << k, 1 << k
+    den = 24 * u * u * v * p
+    kem = Fraction(u * v * (36 * w * pt - 24 * c * a + 4 * d * p), den)
+    add = Fraction(54 * w * (6 * q + 11) * u * ptt - 72 * c * u * v * b + 72 * c * u * u * a
+                   + 12 * d * u * v * pt + 6 * u * u * v * p, den)
+    kir = Fraction(27 * w * w * u * ptt - 9 * c * u * v * b + 18 * c * u * u * a
+                   + 12 * (q + 1) * d * u * pt + 15 * c * u * u * e - 3 * u * u * v * p, den)
+    return kem, 6 * t * kem, add, kir  # Kf* = 2m K with m = 3t

@@ -185,6 +185,23 @@ def test_pseudofractal_json_bytes(q, kmax, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("q, kmax, fmt, digest", [
+    (1, 321, "table", "4cf0f2c34c2dbf59029ce3c4065b7f66ae9c97e5d1531e5167ee2cf77a772566"),
+    (1, 321, "csv", "2c12e50dcb832d988066d2af2cd159bfe957f0449812050ee579ca49f4d8a21f"),
+    (2, 219, "table", "64926127b847fc23fcbb78d4f536c1789ef1eab493eac089d20afea7f60109b7"),
+    (2, 219, "csv", "1ebeeea95fdb03291ff2f464999e26ea804b03505b21d625d31d4792c91ec0b5"),
+    (3, 181, "table", "551bce5f59b3ba826dbad499e7a1284a1d5c521e3cbd1f2682921dd721068383"),
+    (3, 181, "csv", "1a2738862d6b787f5b33fd83b5b09dca72cf525c3f5ee2ab4ab639bb8e957f32"),
+])
+def test_pseudofractal_table_csv_bytes(q, kmax, fmt, digest):
+    """The table and csv rows up to the same k, pinned like the JSON."""
+    code, text = run_cli(
+        ["pseudofractal", "--q", str(q), "--kmax", str(kmax), "--format", fmt]
+    )
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 GOLDEN = Path(__file__).parent / "golden"
 
 

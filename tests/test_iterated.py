@@ -79,13 +79,33 @@ def test_pseudofractal_base_and_step():
     assert pseudofractal_metrics(1, 1) == (Fraction(14, 3), 84, 61, Fraction(65, 6))
 
 
+def _iterated_triangle(q, k):
+    forms = (iterated_kemeny, iterated_multiplicative, iterated_additive, iterated_kirchhoff)
+    return tuple(f(TRIANGLE_BASE, q, k) for f in forms)
+
+
 @pytest.mark.parametrize("q,k", [(1, 3), (2, 2), (3, 2), (2, 5)])
 def test_pseudofractal_equals_iterated_triangle(q, k):
-    kem, mul, add, kir = pseudofractal_metrics(q, k)
-    assert kem == iterated_kemeny(TRIANGLE_BASE, q, k)
-    assert mul == iterated_multiplicative(TRIANGLE_BASE, q, k)
-    assert add == iterated_additive(TRIANGLE_BASE, q, k)
-    assert kir == iterated_kirchhoff(TRIANGLE_BASE, q, k)
+    assert pseudofractal_metrics(q, k) == _iterated_triangle(q, k)
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4])
+def test_pseudofractal_grid_equals_iterated_and_chain(q):
+    """Three derivations agree exactly for k = 0..30: the pseudofractal
+    closed form, the iterated forms on the triangle, and a chain of
+    one-step transfers from the triangle."""
+    chain = TRIANGLE_BASE
+    for k in range(31):
+        got = pseudofractal_metrics(q, k)
+        assert got == _iterated_triangle(q, k), k
+        assert got == (chain.kemeny, chain.multiplicative, chain.additive, chain.kirchhoff), k
+        chain = transferred_summary(q, chain)
+
+
+@pytest.mark.parametrize("k", [321, 322, 646, 2000])
+def test_pseudofractal_equals_iterated_triangle_large_k(k):
+    # around the CLI's float ceiling (k = 322 at q = 1) and far past it
+    assert pseudofractal_metrics(1, k) == _iterated_triangle(1, k)
 
 
 def test_oracle_agreement_on_constructed_iterates():
