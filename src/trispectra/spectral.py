@@ -18,10 +18,6 @@ import numpy as np
 from .errors import ConvergenceFailure, check_q
 from .graph import Graph, is_bipartite
 
-#: singular values below RANK_CUTOFF * sigma_max count as zero; B has
-#: integer entries, so the separation is clean.
-RANK_CUTOFF = 1e-9
-
 _EIG_RESIDUAL = 1e-10
 #: direct inverses, here and in metrics, are checked to this residual times n
 _SOLVE_RESIDUAL = 1e-10
@@ -80,34 +76,39 @@ def eigendecompose(g: Graph) -> Spectrum:
     return Spectrum(eigenvalues=vals, eigenvectors=vecs, graph=g)
 
 
-def _null_space(a: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of ker(a), one column per zero singular value."""
-    try:
-        _, svals, vh = np.linalg.svd(a, full_matrices=True)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
-        raise ConvergenceFailure(f"SVD of kernel matrix failed: {exc}") from exc
-    rank = int(np.sum(svals > RANK_CUTOFF * svals[0])) if svals.size else 0
-    return vh[rank:].T
+def _incidence_rank(g: Graph):
+    """(bipartite, rank B): rank B = n - 1 on a bipartite G, whose +-1
+    colouring vector spans B's left kernel, and n otherwise."""
+    bipartite, _ = is_bipartite(g)
+    return bipartite, g.n - bipartite
+
+
+def _qr_kernel(a: np.ndarray, rank: int) -> np.ndarray:
+    """Orthonormal basis of ker(a), whose first ``rank`` rows span its rows:
+    the trailing columns of a complete QR of a[:rank]^T.  Any n - 1 rows of
+    a connected bipartite graph's B qualify, as the colouring vector that
+    spans B's left kernel has no zero entry."""
+    basis, _ = np.linalg.qr(a[:rank].T, mode="complete")
+    return basis[:, rank:]
 
 
 def kernel_basis(g: Graph, q: int) -> np.ndarray:
     """Orthonormal basis of ker(C), C = q horizontal copies of B.
 
-    C = 1_q^T (x) B, so ker C = (ker 1_q^T (x) I_m) + (1_q/sqrt(q) (x) ker B),
-    and only the n x m matrix B is decomposed.  Returns an (m*q) x dim
-    matrix whose columns y satisfy ||C y|| = sqrt(q) ||B N|| <= 1e-10,
-    N the basis of ker B.  dim equals m*q - rank(B): m*q - n for
-    non-bipartite G, m*q - n + 1 for bipartite G.
+    C = 1_q^T (x) B, so ker C = (ker 1_q^T (x) I_m) + (1_q/sqrt(q) (x) ker B).
+    Rank B comes from the 2-colouring and both kernels from a QR.  Returns
+    an (m*q) x (m*q - rank B) matrix whose columns y satisfy
+    ||C y|| = sqrt(q) ||B N|| <= 1e-10, N the basis of ker B.
     """
     q = check_q(q)
     b = g.incidence_matrix().astype(float)
-    null_b = _null_space(b)
+    null_b = _qr_kernel(b, _incidence_rank(g)[1])
     if null_b.size:
         worst = np.sqrt(q) * np.linalg.norm(b @ null_b, axis=0).max()
         if worst > 1e-10:
             raise ConvergenceFailure(f"ker B residual {worst:.3e} exceeds 1e-10")
     return np.hstack([
-        np.kron(_null_space(np.ones((1, q))), np.eye(g.m)),
+        np.kron(_qr_kernel(np.ones((1, q)), 1), np.eye(g.m)),
         np.kron(np.full((q, 1), 1.0 / np.sqrt(q)), null_b),
     ])
 
@@ -123,8 +124,7 @@ def lift_spectrum(spec: Spectrum, q: int) -> LiftedSpectrum:
     q, g = check_q(q), spec.graph
     n, m = g.n, g.m
     nt = n + m * q
-    bipartite, _ = is_bipartite(g)
-    n_branch = n - 1 if bipartite else n
+    bipartite, n_branch = _incidence_rank(g)
 
     lam = spec.eigenvalues[:n_branch]
     sqrt_delta = np.sqrt(lam ** 2 + 2 * q * (q + 1) * (1 + lam))
@@ -139,19 +139,15 @@ def lift_spectrum(spec: Spectrum, q: int) -> LiftedSpectrum:
         vecs.append(scale * np.vstack([v] + [new_block] * q))
 
     basis = kernel_basis(g, q)
-    expected_dim = m * q - n + (1 if bipartite else 0)
-    if basis.shape[1] != expected_dim:
-        raise ConvergenceFailure(
-            f"kernel dimension {basis.shape[1]} != expected {expected_dim}"
-        )
+    zeros = m * q - n_branch
     # interleaved so that each input eigenvalue's plus root precedes its
     # minus root, then the kernel's zeros
-    vals = [np.stack(roots, axis=1).ravel(), np.zeros(expected_dim)]
+    vals = [np.stack(roots, axis=1).ravel(), np.zeros(zeros)]
     cols = [
         np.stack(vecs, axis=2).reshape(nt, 2 * n_branch),
-        np.vstack([np.zeros((n, expected_dim)), basis]),
+        np.vstack([np.zeros((n, zeros)), basis]),
     ]
-    branches = ["plus", "minus"] * n_branch + ["zero"] * expected_dim
+    branches = ["plus", "minus"] * n_branch + ["zero"] * zeros
     if bipartite:
         vals.append([-1.0 / (q + 1)])
         special = np.concatenate([spec.eigenvectors[:, n - 1], np.zeros(m * q)])
@@ -206,12 +202,11 @@ def kernel_sum_residual(spec: Spectrum, q: int) -> np.ndarray:
     e from triangulation.new_node_generator.
     """
     q, g = check_q(q), spec.graph
-    bipartite, _ = is_bipartite(g)
+    bipartite, upper = _incidence_rank(g)
     pinv = _signless_pinv(g, bipartite)
     s, t = g._ends.T
     lhs = 1.0 - (pinv[s, s] + pinv[t, t] + 2.0 * pinv[s, t]) / q
 
-    upper = g.n - 1 if bipartite else g.n
     scaled = spec.eigenvectors[:, 1:upper] / np.sqrt(g.degrees)[:, None]
     term = scaled[s] + scaled[t]
     lam = spec.eigenvalues[1:upper]

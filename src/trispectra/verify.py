@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Integral
 
 import numpy as np
 
@@ -122,13 +123,13 @@ def make_corpus(seed: int, trials: int, nmax: int, qmax: int,
                 bipartite_fraction: float = 0.4):
     """Deterministic list of (graph, q) trial cases; at least
     ``bipartite_fraction`` of the graphs are bipartite by construction.
-    Raises TrispectraError unless trials >= 1, nmax >= 3 and qmax is a
-    valid q."""
+    Raises TrispectraError unless seed is a non-negative integer (not a
+    bool), trials >= 1, nmax >= 3 and qmax is a valid q."""
     qmax = check_q(qmax)
-    if trials < 1 or nmax < 3:
-        raise TrispectraError(
-            f"corpus needs trials >= 1 and nmax >= 3, got trials={trials}, nmax={nmax}"
-        )
+    seed_ok = isinstance(seed, Integral) and not isinstance(seed, bool) and seed >= 0
+    if not seed_ok or trials < 1 or nmax < 3:
+        raise TrispectraError(f"corpus needs an integer seed >= 0, trials >= 1 and nmax >= 3, "
+                              f"got seed={seed!r}, trials={trials}, nmax={nmax}")
     rng = np.random.default_rng(seed)
     cases = []
     for trial in range(trials):

@@ -304,6 +304,7 @@ def test_pseudofractal_overflow_is_input_error(capsys):
 
 @pytest.mark.parametrize("flag, value", [
     ("--nmax", "2"), ("--nmax", "1"), ("--qmax", "0"), ("--qmax", "-1"), ("--trials", "0"),
+    ("--seed", "-1"),
 ])
 def test_verify_bad_corpus_flags(flag, value, capsys):
     code, text = run_cli(["verify", "--trials", "2", flag, value])

@@ -7,14 +7,14 @@ import pytest
 from trispectra import spectral
 from trispectra.errors import ConvergenceFailure, InvalidQError
 
-from trispectra.graph import complete_graph, cycle_graph, is_bipartite
+from trispectra.graph import complete_graph, cycle_graph, is_bipartite, path_graph
 from trispectra.spectral import (
     eigendecompose,
     kernel_basis,
     kernel_sum_residual,
     lift_spectrum,
 )
-from trispectra.triangulation import q_triangulate
+from trispectra.triangulation import iterate_triangulation, q_triangulate
 
 
 def test_k3_eigenvalues():
@@ -57,15 +57,31 @@ def test_kernel_basis_dimensions():
     assert np.allclose(np.abs(basis[:, 0]), 1.0 / np.sqrt(2))
 
 
-def test_kernel_basis_properties(small_corpus):
-    for g, q in small_corpus:
+def _svd_kernel_projector(c):
+    """Projector onto ker c, from numpy's SVD of c with its rank read off
+    the singular values: the reference for kernel_basis."""
+    _, svals, vh = np.linalg.svd(c, full_matrices=False)
+    row = vh[: int((svals > 1e-9 * svals[0]).sum())]
+    return np.eye(c.shape[1]) - row.T @ row
+
+
+def test_kernel_basis_properties(small_corpus, acceptance_corpus):
+    # against an SVD of the whole C on both parities: the corpus G, the
+    # R_q(G) of every eighth of them, the K3 webs, a tree (ker B empty)
+    # and K2 (ker C empty at q = 1)
+    webs = [(s.result, q) for q, k in ((1, 5), (2, 3))
+            for s in iterate_triangulation(complete_graph(3), q, k)[1:]]
+    cases = list(small_corpus) + list(acceptance_corpus) + webs
+    cases += [(q_triangulate(g, q).result, q) for g, q in acceptance_corpus[::8]]
+    cases += [(path_graph(5), 1), (path_graph(5), 2)]
+    cases += [(complete_graph(2), q) for q in (1, 2, 3)]
+    for g, q in cases:
         basis = kernel_basis(g, q)
         dim = g.m * q - g.n + (1 if is_bipartite(g)[0] else 0)
         assert basis.shape == (g.m * q, dim)
-        if dim:
-            c = np.hstack([g.incidence_matrix().astype(float)] * q)
-            assert np.linalg.norm(c @ basis, axis=0).max() <= 1e-10
-            assert np.abs(basis.T @ basis - np.eye(dim)).max() < 1e-10
+        assert np.abs(basis.T @ basis - np.eye(dim)).max(initial=0.0) < 1e-10
+        c = np.hstack([g.incidence_matrix().astype(float)] * q)
+        assert np.abs(basis @ basis.T - _svd_kernel_projector(c)).max(initial=0.0) < 1e-12
 
 
 def test_lift_k3_q1_multiset():
@@ -166,24 +182,23 @@ def test_kernel_sum_lhs_matches_basis_rows(small_corpus):
 
 def test_kernel_sum_skips_kernel_basis(monkeypatch):
     def refuse(*args):
-        raise AssertionError("SVD route called")
+        raise AssertionError("kernel basis route called")
 
     monkeypatch.setattr(spectral, "kernel_basis", refuse)
-    monkeypatch.setattr(spectral, "_null_space", refuse)
+    monkeypatch.setattr(spectral, "_qr_kernel", refuse)
     g = cycle_graph(5)
     assert kernel_sum_residual(eigendecompose(g), 2).max() < 1e-12
 
 
-@pytest.mark.parametrize("caller", [lambda g: kernel_basis(g, 2)], ids=["kernel_basis"])
-def test_kernel_sum_checks_null_space(monkeypatch, caller):
+@pytest.mark.parametrize("g", [cycle_graph(5), cycle_graph(6)], ids=["odd", "bipartite"])
+def test_kernel_sum_checks_null_space(monkeypatch, g):
     # a "null space" that B does not annihilate must be caught by the
-    # owner of ker B; kernel_sum_residual never takes one
-    g = cycle_graph(5)
+    # owner of ker B, at either rank; kernel_sum_residual never takes one
     monkeypatch.setattr(
-        spectral, "_null_space", lambda a: np.eye(a.shape[1])[:, :1]
+        spectral, "_qr_kernel", lambda a, rank: np.eye(a.shape[1])[:, :1]
     )
     with pytest.raises(ConvergenceFailure):
-        caller(g)
+        kernel_basis(g, 2)
 
 
 @pytest.mark.parametrize("g", [cycle_graph(5), cycle_graph(6)], ids=["odd", "bipartite"])

@@ -1,6 +1,7 @@
 import sys
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from trispectra import graph, spectral, verify
@@ -8,13 +9,15 @@ from trispectra.graph import is_bipartite
 
 
 def _count(monkeypatch, calls, owner, name):
-    """Wrap ``owner.name`` in every trispectra namespace that binds it."""
+    """Wrap ``owner.name`` in ``owner`` and in every trispectra namespace
+    that binds it."""
     original = getattr(owner, name)
 
     def counted(*args, **kwargs):
         calls[name] += 1
         return original(*args, **kwargs)
 
+    monkeypatch.setattr(owner, name, counted)
     for module_name, module in list(sys.modules.items()):
         if module_name.startswith("trispectra") and getattr(module, name, None) is original:
             monkeypatch.setattr(module, name, counted)
@@ -23,12 +26,12 @@ def _count(monkeypatch, calls, owner, name):
 @pytest.mark.parametrize("bipartite", [True, False], ids=["bipartite", "non-bipartite"])
 def test_graph_suites_do_only_the_dense_work_they_read(monkeypatch, acceptance_corpus, bipartite):
     # one spectrum of G for the lift and one each of G and R_q(G) for the
-    # identities; R_q(G) is built without build_graph; the only SVDs are
-    # kernel_basis's two, in the lift
+    # identities; R_q(G) is built without build_graph; no SVD runs, and
+    # the only kernels are kernel_basis's two QRs, in the lift
     case = next(c for c in acceptance_corpus if is_bipartite(c[0])[0] == bipartite)
     calls = Counter()
-    for owner, name in ((spectral, "eigendecompose"), (graph, "build_graph"),
-                        (spectral, "_null_space")):
+    names = ("eigendecompose", "build_graph", "_qr_kernel", "svd")
+    for owner, name in zip((spectral, graph, spectral, np.linalg), names):
         _count(monkeypatch, calls, owner, name)
     assert all(r.passed for r in verify.run_single(*case))
-    assert [calls[name] for name in ("eigendecompose", "build_graph", "_null_space")] == [3, 0, 2]
+    assert [calls[name] for name in names] == [3, 0, 2, 0]
