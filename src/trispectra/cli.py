@@ -60,8 +60,8 @@ def _write_json(payload, out) -> None:
     """Write what ``json.dump(payload, out, indent=2)`` and a newline
     write, byte for byte, with every ndarray in ``payload`` in place of
     its ``tolist()``.  ``indent`` forces json's pure-Python encoder, so
-    the arrays are left out of that pass and streamed one row at a time
-    through the C encoder instead."""
+    the arrays are left out of that pass and written by ``_write_array``
+    with one C-encoder call per array."""
     arrays = []
 
     def slot(a):
@@ -79,17 +79,25 @@ def _write_json(payload, out) -> None:
 
 def _write_array(a, out, pad: str) -> None:
     """``a`` as json's ``indent=2`` layout writes ``a.tolist()`` on a
-    line indented by ``pad``; each 1-D row is one C-encoder call."""
+    line indented by ``pad``.  Entries repeat (a resistance matrix is
+    symmetric, and a web's automorphisms equate many more), so one
+    C-encoder call encodes each distinct bit pattern (-0.0 apart from 0.0)
+    once, and its text is laid out wherever that pattern occurs."""
+    keys, inverse = np.unique(a.ravel().view(f"u{a.itemsize}"), return_inverse=True)
+    tokens = np.array(json.dumps(keys.view(a.dtype).tolist())[1:-1].split(", "), dtype=object)
+    _write_tokens(tokens[inverse].reshape(a.shape), out, pad)
+
+
+def _write_tokens(tokens, out, pad: str) -> None:
     inner = pad + "  "
-    if len(a) == 0:
+    if len(tokens) == 0:
         out.write("[]")
-    elif a.ndim == 1:
-        row = json.dumps(a.tolist())[1:-1].replace(", ", ",\n" + inner)
-        out.write(f"[\n{inner}{row}\n{pad}]")
+    elif tokens.ndim == 1:
+        out.write(f"[\n{inner}" + (",\n" + inner).join(tokens.tolist()) + f"\n{pad}]")
     else:
-        for i, sub in enumerate(a):
+        for i, sub in enumerate(tokens):
             out.write(("," if i else "[") + "\n" + inner)
-            _write_array(sub, out, inner)
+            _write_tokens(sub, out, inner)
         out.write(f"\n{pad}]")
 
 

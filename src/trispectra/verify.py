@@ -123,13 +123,13 @@ def make_corpus(seed: int, trials: int, nmax: int, qmax: int,
                 bipartite_fraction: float = 0.4):
     """Deterministic list of (graph, q) trial cases; at least
     ``bipartite_fraction`` of the graphs are bipartite by construction.
-    Raises TrispectraError unless seed is a non-negative integer (not a
-    bool), trials >= 1, nmax >= 3 and qmax is a valid q."""
+    Raises TrispectraError unless seed, trials and nmax are integers (not
+    bools) with seed >= 0, trials >= 1 and nmax >= 3, and qmax is a valid q."""
     qmax = check_q(qmax)
-    seed_ok = isinstance(seed, Integral) and not isinstance(seed, bool) and seed >= 0
-    if not seed_ok or trials < 1 or nmax < 3:
-        raise TrispectraError(f"corpus needs an integer seed >= 0, trials >= 1 and nmax >= 3, "
-                              f"got seed={seed!r}, trials={trials}, nmax={nmax}")
+    if not all(isinstance(v, Integral) and not isinstance(v, bool) and v >= low
+               for v, low in ((seed, 0), (trials, 1), (nmax, 3))):
+        raise TrispectraError(f"corpus needs integers seed >= 0, trials >= 1 and nmax >= 3, "
+                              f"got seed={seed!r}, trials={trials!r}, nmax={nmax!r}")
     rng = np.random.default_rng(seed)
     cases = []
     for trial in range(trials):

@@ -436,6 +436,58 @@ def test_write_json_non_finite_and_small_arrays():
     })
 
 
+def test_write_json_matches_json_dumps_on_any_array():
+    """Property test of the writer's bytes: any 1-D to 3-D array, empty
+    sides included, of floats with many repeats, both zeros, NaN, ±inf and
+    subnormals, or of ints or bools, written as json.dumps writes tolist()."""
+    pytest.importorskip("hypothesis")
+    from hypothesis import example, given, settings
+    from hypothesis import strategies as st
+    from hypothesis.extra import numpy as hnp
+
+    special = [0.0, -0.0, float("nan"), float("inf"), -float("inf"), 5e-324, -2.5e-310, 1.5]
+    shapes = hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=6)
+    arrays = st.one_of(
+        hnp.arrays(np.float64, shapes, elements=st.one_of(st.sampled_from(special), st.floats())),
+        hnp.arrays(np.float64, shapes, elements=st.sampled_from(special)),
+        hnp.arrays(np.float32, shapes, elements=st.floats(width=32)),
+        hnp.arrays(st.sampled_from([np.int64, np.int32, np.uint8, np.bool_]), shapes),
+    )
+
+    @settings(max_examples=100, deadline=None)
+    @given(arrays)
+    @example(np.zeros(0))
+    @example(np.zeros((2, 0)))
+    @example(np.array([[0.0, -0.0], [-0.0, 0.0]]))
+    def check(a):
+        _assert_same_text(_written({"a": a, "b": [a]}),
+                          _indent2({"a": a.tolist(), "b": [a.tolist()]}))
+
+    check()
+
+
+def test_write_json_encodes_each_distinct_value_once(monkeypatch):
+    # 3 values plus 0.0 and -0.0, which json spells apart, over 1600 entries
+    a = np.resize([1.5, 2 / 3, -7.25, 0.0, -0.0], (40, 40))
+    want = _indent2({"a": a.tolist()})
+    floats = []
+    dumps = json.dumps
+
+    def counted(obj, **kwargs):
+        stack = [obj]
+        while stack:
+            x = stack.pop()
+            if isinstance(x, float):
+                floats.append(x)
+            elif isinstance(x, (list, dict)):
+                stack.extend(x.values() if isinstance(x, dict) else x)
+        return dumps(obj, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", counted)
+    _assert_same_text(_written({"a": a}), want)
+    assert len(floats) == 5
+
+
 def test_spectrum_and_pseudofractal_json_unchanged(tmp_path):
     g = _relabelled_web()
     path = tmp_path / "web.edges"

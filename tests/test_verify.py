@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from trispectra import graph, spectral, verify
+from trispectra.errors import TrispectraError
 from trispectra.graph import is_bipartite
 
 
@@ -35,3 +36,10 @@ def test_graph_suites_do_only_the_dense_work_they_read(monkeypatch, acceptance_c
         _count(monkeypatch, calls, owner, name)
     assert all(r.passed for r in verify.run_single(*case))
     assert [calls[name] for name in names] == [3, 0, 2, 0]
+
+
+@pytest.mark.parametrize("trials, nmax", [(2.5, 5), (True, 5), (5, 4.5)],
+                         ids=["float-trials", "bool-trials", "float-nmax"])
+def test_make_corpus_needs_integer_counts(trials, nmax):
+    with pytest.raises(TrispectraError, match="corpus needs integers"):
+        verify.make_corpus(7, trials, nmax, 2)
