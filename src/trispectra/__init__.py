@@ -51,6 +51,7 @@ from .spectral import (
     eigendecompose,
     kernel_basis,
     kernel_sum_residual,
+    lift_eigenvalues,
     lift_spectrum,
 )
 from .transfer import (

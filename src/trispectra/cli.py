@@ -22,7 +22,7 @@ from .errors import (
 from .graph import builtin_graph, format_edge_list, parse_edge_list
 from .iterated import pseudofractal_metrics
 from .metrics import compute_metrics
-from .spectral import eigendecompose, lift_spectrum
+from .spectral import eigendecompose, lift_eigenvalues
 from .triangulation import new_node_generator, predicted_counts, q_triangulate
 
 EXIT_OK = 0
@@ -172,11 +172,8 @@ def cmd_spectrum(args, out) -> int:
     g = _load_graph(args)
     spec = eigendecompose(g)
     if args.q is not None:
-        lifted = lift_spectrum(spec, args.q)
-        payload = {
-            "eigenvalues": lifted.eigenvalues,
-            "branch": list(lifted.branches),
-        }
+        eigenvalues, branches = lift_eigenvalues(spec, args.q)
+        payload = {"eigenvalues": eigenvalues, "branch": list(branches)}
     else:
         payload = {
             "eigenvalues": spec.eigenvalues,

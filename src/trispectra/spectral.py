@@ -113,6 +113,48 @@ def kernel_basis(g: Graph, q: int) -> np.ndarray:
     ])
 
 
+def _lifted_values(spec: Spectrum, q: int):
+    """(eigenvalues, branches, order, numer, sqrt_delta) of the lift to
+    R_q(G), q already checked.
+
+    Unsorted, the values follow lift_spectrum's column layout: each input
+    eigenvalue's plus root, then its minus root, then the m*q - rank B
+    zeros of ker C, then the bipartite special -1/(q+1).  ``order`` is
+    their stable descending argsort, and eigenvalues and branches come
+    sorted by it.  ``numer``, shape (2, rank B), holds the roots'
+    numerators lambda +- sqrt(Delta), which the branch eigenvectors reuse
+    with ``sqrt_delta``.
+    """
+    g = spec.graph
+    bipartite, n_branch = _incidence_rank(g)
+    lam = spec.eigenvalues[:n_branch]
+    sqrt_delta = np.sqrt(lam ** 2 + 2 * q * (q + 1) * (1 + lam))
+    numer = lam + np.array([[1.0], [-1.0]]) * sqrt_delta
+    zeros = g.m * q - n_branch
+    vals = [(numer / (2.0 * (q + 1))).T.ravel(), np.zeros(zeros)]
+    branches = ["plus", "minus"] * n_branch + ["zero"] * zeros
+    if bipartite:
+        vals.append([-1.0 / (q + 1)])
+        branches.append("bipartite-special")
+
+    vals = np.concatenate(vals)
+    order = np.argsort(-vals, kind="stable")
+    vals = vals[order]
+    vals.setflags(write=False)
+    return vals, tuple(branches[k] for k in order), order, numer, sqrt_delta
+
+
+def lift_eigenvalues(spec: Spectrum, q: int) -> tuple[np.ndarray, tuple]:
+    """(eigenvalues, branches) of P(R_q(G)) from the eigenvalues of
+    G = spec.graph alone, equal to lift_spectrum's fields bit for bit.
+
+    O(n + mq) work: no eigenvector matrix and no basis of ker C is built,
+    so kernel_basis's ker B residual check does not run; the m*q - rank B
+    zeros are counted from the 2-colouring, as in lift_spectrum.
+    """
+    return _lifted_values(spec, check_q(q))[:2]
+
+
 def lift_spectrum(spec: Spectrum, q: int) -> LiftedSpectrum:
     """Spectrum of R_q(G) from the spectrum of G = spec.graph.
 
@@ -124,43 +166,29 @@ def lift_spectrum(spec: Spectrum, q: int) -> LiftedSpectrum:
     q, g = check_q(q), spec.graph
     n, m = g.n, g.m
     nt = n + m * q
-    bipartite, n_branch = _incidence_rank(g)
+    vals, branches, order, numer, sqrt_delta = _lifted_values(spec, q)
+    n_branch = len(sqrt_delta)
 
     lam = spec.eigenvalues[:n_branch]
-    sqrt_delta = np.sqrt(lam ** 2 + 2 * q * (q + 1) * (1 + lam))
     v = spec.eigenvectors[:, :n_branch]
     w = (g.incidence_matrix().T / np.sqrt(g.degrees)[None, :]) @ v
-    roots, vecs = [], []
-    for sign in (1.0, -1.0):
-        denom = lam + sign * sqrt_delta
+    vecs = []
+    for sign, denom in zip((1.0, -1.0), numer):
         new_block = (np.sqrt(2.0 * (q + 1)) / denom) * w
         scale = np.sqrt(0.5 + sign * lam / (2.0 * sqrt_delta))
-        roots.append(denom / (2.0 * (q + 1)))
         vecs.append(scale * np.vstack([v] + [new_block] * q))
 
-    basis = kernel_basis(g, q)
     zeros = m * q - n_branch
-    # interleaved so that each input eigenvalue's plus root precedes its
-    # minus root, then the kernel's zeros
-    vals = [np.stack(roots, axis=1).ravel(), np.zeros(zeros)]
+    # in _lifted_values's column layout
     cols = [
         np.stack(vecs, axis=2).reshape(nt, 2 * n_branch),
-        np.vstack([np.zeros((n, zeros)), basis]),
+        np.vstack([np.zeros((n, zeros)), kernel_basis(g, q)]),
     ]
-    branches = ["plus", "minus"] * n_branch + ["zero"] * zeros
-    if bipartite:
-        vals.append([-1.0 / (q + 1)])
+    if n_branch < n:  # bipartite: rank B = n - 1
         special = np.concatenate([spec.eigenvectors[:, n - 1], np.zeros(m * q)])
         cols.append(special[:, None])
-        branches.append("bipartite-special")
 
-    vals = np.concatenate(vals)
-    order = np.argsort(-vals, kind="stable")
-    vals = vals[order]
     mat = _fix_signs(np.hstack(cols)[:, order])
-    branches = tuple(np.array(branches)[order].tolist())
-
-    vals.setflags(write=False)
     mat.setflags(write=False)
     return LiftedSpectrum(eigenvalues=vals, eigenvectors=mat, branches=branches)
 

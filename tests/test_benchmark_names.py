@@ -35,14 +35,14 @@ def test_traced_names_resolve(monkeypatch):
 
 def test_workload_ops_pass_their_checks(monkeypatch, tmp_path):
     # the tiny workloads: every corpus-verify op and its run check, the
-    # pseudofractal CLI ops, and the transfer CLI ops on the webs
+    # pseudofractal CLI ops, and the transfer and spectrum CLI ops on the webs
     workloads = _load("workloads", monkeypatch)
     corpus = workloads.CorpusVerify(1, tmp_path, tiny=True)
     forms = workloads.ClosedForms(1, tmp_path, tiny=True)
     webs = workloads.WebCli(1, tmp_path, tiny=True)
     ops = corpus.ops()
     ops += [op for op in forms.ops() if op.label.startswith("cli pseudofractal")]
-    ops += [op for op in webs.ops() if op.label.startswith("transfer")]
-    assert len(ops) == 7 + 6 + 2
+    ops += [op for op in webs.ops() if op.label.startswith(("transfer", "spectrum"))]
+    assert len(ops) == 7 + 6 + 2 + 2
     errors = [error for op in ops for error in op.check(op.run())]
     assert errors + corpus.check_run() == []

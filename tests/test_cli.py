@@ -4,12 +4,13 @@ import inspect
 import io
 import json
 import re
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from trispectra import cli, metrics, verify
+from trispectra import cli, metrics, spectral, verify
 from trispectra.cli import _write_json, main
 from trispectra.errors import ConvergenceFailure, SingularSystemError
 from trispectra.graph import build_graph, complete_graph, cycle_graph, format_edge_list
@@ -18,6 +19,8 @@ from trispectra.metrics import compute_metrics
 from trispectra.spectral import eigendecompose, lift_spectrum
 from trispectra.triangulation import iterate_triangulation, predicted_counts
 from trispectra.verify import make_corpus
+
+from test_verify import _count
 
 
 def run_cli(argv):
@@ -393,9 +396,9 @@ def _metrics_reference(g) -> str:
     })
 
 
-def _relabelled_web():
-    """R_{1,3}(K3), n = 42, with its nodes shuffled."""
-    web = iterate_triangulation(complete_graph(3), 1, 3)[-1].result
+def _relabelled_web(k=3):
+    """R_{1,k}(K3), n = 42 at k = 3, with its nodes shuffled."""
+    web = iterate_triangulation(complete_graph(3), 1, k)[-1].result
     perm = np.random.default_rng(3).permutation(web.n) + 1
     return build_graph(web.n, [(perm[i - 1], perm[j - 1]) for i, j in web.edges])
 
@@ -506,6 +509,41 @@ def test_spectrum_and_pseudofractal_json_unchanged(tmp_path):
         dict(zip(keys, (k, *predicted_counts(3, 3, 2, k), *map(float, pseudofractal_metrics(2, k)))))
         for k in range(13)
     ])
+
+
+@pytest.mark.parametrize("source, q, digest", [
+    ("web", 1, "276867c4a3aedaa4e8e235b8fc413e6f3ade4229ac316b0577fc45c86954bc9c"),
+    ("cycle:6", 2, "a03b97d7172aea12fdece3aa419dbec4c66786bdb04e3fb97804a84561e1cbe7"),
+    ("star:10", 3, "b5f1ac2d92bfbf58c9db017b1deb3afd35fb89f878f849f971055c869dcab56c"),
+])
+def test_spectrum_lift_bytes(source, q, digest, tmp_path):
+    """`spectrum --q` on the relabelled R_{1,5}(K3) and two bipartite
+    builtins, pinned by the SHA-256 of its JSON.  The digits come from
+    LAPACK's eigh of G, so a numpy built on another LAPACK may move them."""
+    if source == "web":
+        path = tmp_path / "web.edges"
+        path.write_text(format_edge_list(_relabelled_web(5)))
+        argv = ["--input", str(path)]
+    else:
+        argv = ["--graph", source]
+    code, text = run_cli(["spectrum", *argv, "--q", str(q)])
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_spectrum_lift_builds_no_eigenvectors(monkeypatch, tmp_path):
+    # `spectrum --q` prints eigenvalues and branches only: one
+    # eigendecomposition of G, and no lifted eigenvector matrix, ker C
+    # basis or QR
+    path = tmp_path / "web.edges"
+    path.write_text(format_edge_list(_relabelled_web()))
+    calls = Counter()
+    names = ("lift_spectrum", "kernel_basis", "_qr_kernel", "qr", "eigendecompose")
+    for owner, name in zip((spectral, spectral, spectral, np.linalg, spectral), names):
+        _count(monkeypatch, calls, owner, name)
+    code, _ = run_cli(["spectrum", "--input", str(path), "--q", "2"])
+    assert code == 0
+    assert [calls[name] for name in names] == [0, 0, 0, 0, 1]
 
 
 # ---- input contract: every input is used or rejected ------------------

@@ -7,11 +7,12 @@ import pytest
 from trispectra import spectral
 from trispectra.errors import ConvergenceFailure, InvalidQError
 
-from trispectra.graph import complete_graph, cycle_graph, is_bipartite, path_graph
+from trispectra.graph import complete_graph, cycle_graph, is_bipartite, path_graph, star_graph
 from trispectra.spectral import (
     eigendecompose,
     kernel_basis,
     kernel_sum_residual,
+    lift_eigenvalues,
     lift_spectrum,
 )
 from trispectra.triangulation import iterate_triangulation, q_triangulate
@@ -141,6 +142,21 @@ def test_lift_full_properties(small_corpus):
         assert np.all(lam ** 2 + 2 * q * (q + 1) * (1 + lam) >= 0)
 
 
+def test_lift_eigenvalues_equal_lift_spectrum(acceptance_corpus):
+    # eigenvalues bit for bit and branches by ==: the corpus at its q, the
+    # K3 webs R_{1,k}, k <= 5, and R_{2,k}, k <= 3, at their q, and two
+    # bipartite builtins at q = 1..3
+    webs = [(s.result, q) for q, k in ((1, 5), (2, 3))
+            for s in iterate_triangulation(complete_graph(3), q, k)]
+    builtins = [(g, q) for g in (cycle_graph(6), star_graph(10)) for q in (1, 2, 3)]
+    for g, q in list(acceptance_corpus) + webs + builtins:
+        spec = eigendecompose(g)
+        vals, branches = lift_eigenvalues(spec, q)
+        lifted = lift_spectrum(spec, q)
+        assert vals.tobytes() == lifted.eigenvalues.tobytes()
+        assert branches == lifted.branches
+
+
 def test_kernel_sum_identity_examples():
     for g, q in ((complete_graph(2), 2), (complete_graph(3), 1)):
         residuals = kernel_sum_residual(eigendecompose(g), q)
@@ -223,8 +239,14 @@ def test_kernel_sum_input_contract():
 
 def test_lift_rejects_non_integer_q():
     g = complete_graph(3)
-    with pytest.raises(InvalidQError):
-        lift_spectrum(eigendecompose(g), 1.5)
+    spec = eigendecompose(g)
+    for bad_q in (0, 1.5, True):
+        messages = []
+        for lift in (lift_eigenvalues, lift_spectrum):
+            with pytest.raises(InvalidQError) as info:
+                lift(spec, bad_q)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
     with pytest.raises(InvalidQError):
         kernel_basis(g, True)
 
@@ -236,10 +258,11 @@ def test_spectral_functions_take_the_graph_from_the_spectrum():
 
     params = {
         fn.__name__: list(inspect.signature(fn).parameters)
-        for fn in (lift_spectrum, kernel_sum_residual,
+        for fn in (lift_eigenvalues, lift_spectrum, kernel_sum_residual,
                    metrics.hitting_spectral_matrix, metrics.resistance_spectral_matrix)
     }
     assert params == {
+        "lift_eigenvalues": ["spec", "q"],
         "lift_spectrum": ["spec", "q"],
         "kernel_sum_residual": ["spec", "q"],
         "hitting_spectral_matrix": ["spec"],
