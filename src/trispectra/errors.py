@@ -80,8 +80,8 @@ class InvalidNodeRefError(TrispectraError):
 
 
 class ConvergenceFailure(TrispectraError):
-    """An eigendecomposition or factorization missed its residual target."""
+    """A numerical result missed its residual gate; a NaN residual misses."""
 
 
 class SingularSystemError(TrispectraError):
-    """A linear system that must be regular on connected graphs was singular."""
+    """numpy could not invert a matrix that is regular on connected graphs."""

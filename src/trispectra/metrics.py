@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularSystemError, TrispectraError
+from .errors import TrispectraError
 from .graph import Graph
-from .spectral import _SOLVE_RESIDUAL, Spectrum, eigendecompose
+from .spectral import Spectrum, _gated_inverse, eigendecompose
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,12 +40,7 @@ def hitting_oracle(g: Graph) -> np.ndarray:
     Snell, Finite Markov Chains, 1960).  One inverse for all targets."""
     pi = g.stationary_distribution()
     a = np.eye(g.n) - g.transition_matrix() + pi[None, :]
-    try:
-        z = np.linalg.inv(a)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError("I - T + 1 pi^T is singular") from exc
-    if np.abs(a @ z - np.eye(g.n)).max() > _SOLVE_RESIDUAL * g.n:
-        raise SingularSystemError("fundamental matrix missed residual target")
+    z = _gated_inverse(a, 0.0, "fundamental matrix Z")
     return (np.diag(z)[None, :] - z) / pi[None, :]
 
 
@@ -54,17 +49,10 @@ def resistance_oracle(g: Graph) -> np.ndarray:
     r_ij = (e_i - e_j)^T L^+ (e_i - e_j), with L^+ = (L + J/n)^{-1} - J/n
     (L + J/n is regular on a connected graph)."""
     lap = (np.diag(g.degrees) - g.adjacency_matrix()).astype(float)
-    try:
-        lp = np.linalg.inv(lap + 1.0 / g.n) - 1.0 / g.n
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError("Laplacian plus J/n is singular") from exc
+    lp = _gated_inverse(lap, 1.0 / g.n, "Laplacian pseudoinverse L^+")
     diag = np.diag(lp)
     r = diag[:, None] + diag[None, :] - 2.0 * lp
     np.fill_diagonal(r, 0.0)
-    # sanity: L L^+ must be the projector off the all-ones vector
-    proj = np.eye(g.n) - np.ones((g.n, g.n)) / g.n
-    if np.abs(lap @ lp - proj).max() > _SOLVE_RESIDUAL * g.n:
-        raise SingularSystemError("Laplacian pseudoinverse missed residual target")
     return 0.5 * (r + r.T)
 
 

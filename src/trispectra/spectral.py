@@ -15,12 +15,31 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceFailure, check_q
+from .errors import ConvergenceFailure, SingularSystemError, check_q
 from .graph import Graph, is_bipartite
 
-_EIG_RESIDUAL = 1e-10
-#: direct inverses, here and in metrics, are checked to this residual times n
-_SOLVE_RESIDUAL = 1e-10
+#: eigenpairs and direct inverses, here and in metrics, are gated at this times n
+_RESIDUAL = 1e-10
+
+
+def _gate(residual, limit, what: str) -> None:
+    """Raise ConvergenceFailure naming ``what``, the residual and the
+    limit unless residual <= limit, so a NaN residual is a miss."""
+    if not residual <= limit:
+        raise ConvergenceFailure(f"{what} residual {residual:.3e} exceeds {limit:.3e}")
+
+
+def _gated_inverse(m: np.ndarray, kk, what: str) -> np.ndarray:
+    """(m + kk)^{-1} - kk, kk the projector onto ker m (a scalar c is c J),
+    gated at ||m result - (I - kk)||_max <= 1e-10 n; SingularSystemError
+    only when m + kk cannot be inverted."""
+    n = len(m)
+    try:
+        result = np.linalg.inv(m + kk) - kk
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystemError(f"{what}: matrix to invert is singular") from exc
+    _gate(np.abs(m @ result - (np.eye(n) - kk)).max(), _RESIDUAL * n, what)
+    return result
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,10 +86,7 @@ def eigendecompose(g: Graph) -> Spectrum:
     vals = vals[order]
     vecs = _fix_signs(vecs[:, order])
     residual = np.linalg.norm(p @ vecs - vecs * vals, axis=0).max()
-    if residual > _EIG_RESIDUAL * max(g.n, 1):
-        raise ConvergenceFailure(
-            f"eigendecomposition residual {residual:.3e} exceeds tolerance"
-        )
+    _gate(residual, _RESIDUAL * max(g.n, 1), "eigendecomposition of P")
     vals.setflags(write=False)
     vecs.setflags(write=False)
     return Spectrum(eigenvalues=vals, eigenvectors=vecs, graph=g)
@@ -104,9 +120,7 @@ def kernel_basis(g: Graph, q: int) -> np.ndarray:
     b = g.incidence_matrix().astype(float)
     null_b = _qr_kernel(b, _incidence_rank(g)[1])
     if null_b.size:
-        worst = np.sqrt(q) * np.linalg.norm(b @ null_b, axis=0).max()
-        if worst > 1e-10:
-            raise ConvergenceFailure(f"ker B residual {worst:.3e} exceeds 1e-10")
+        _gate(np.sqrt(q) * np.linalg.norm(b @ null_b, axis=0).max(), 1e-10, "ker B")
     return np.hstack([
         np.kron(_qr_kernel(np.ones((1, q)), 1), np.eye(g.m)),
         np.kron(np.full((q, 1), 1.0 / np.sqrt(q)), null_b),
@@ -193,27 +207,6 @@ def lift_spectrum(spec: Spectrum, q: int) -> LiftedSpectrum:
     return LiftedSpectrum(eigenvalues=vals, eigenvectors=mat, branches=branches)
 
 
-def _signless_pinv(g: Graph, bipartite: bool) -> np.ndarray:
-    """Q^+ of the signless Laplacian Q = A + D = B B^T, as
-    (Q + z z^T)^{-1} - z z^T: z spans ker Q, the unit +-1 vector of the
-    2-colouring, on a bipartite graph, and is 0 otherwise.  Checked to
-    ||Q Q^+ - (I - z z^T)||_max <= 1e-10 n."""
-    n = g.n
-    signless = (g.adjacency_matrix() + np.diag(g.degrees)).astype(float)
-    z = (1.0 - 2.0 * g._colours) / np.sqrt(n) if bipartite else np.zeros(n)
-    zz = np.outer(z, z)
-    try:
-        pinv = np.linalg.inv(signless + zz) - zz
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure("signless Laplacian plus z z^T is singular") from exc
-    worst = np.abs(signless @ pinv - (np.eye(n) - zz)).max()
-    if worst > _SOLVE_RESIDUAL * n:
-        raise ConvergenceFailure(
-            f"signless Laplacian inverse residual {worst:.3e} exceeds tolerance"
-        )
-    return pinv
-
-
 def kernel_sum_residual(spec: Spectrum, q: int) -> np.ndarray:
     """Residuals of the kernel-sum identity at every generator edge of
     G = spec.graph.
@@ -222,16 +215,19 @@ def kernel_sum_residual(spec: Spectrum, q: int) -> np.ndarray:
     R_q(G) sum to the diagonal entry of the projector onto ker C,
     1 - 1/q + (P_B)_ee / q, where P_B projects onto ker B and e is the
     node's generator edge {s, t}; it does not depend on the node's copy.
-    (P_B)_ee = 1 - b_e^T Q^+ b_e with b_e = e_s + e_t and Q = B B^T the
-    signless Laplacian, inverted directly.  The identity equates this
-    with 1 - 1/(mq) minus a spectral sum over the nontrivial eigenvalues
-    of G, which is Q^+'s spectral form.  Returns |LHS - RHS| of shape
-    (m,), entry e - 1 for edge e; new node x reads the entry of its edge
-    e from triangulation.new_node_generator.
+    (P_B)_ee = 1 - b_e^T Q^+ b_e with b_e = e_s + e_t, Q = B B^T = A + D
+    the signless Laplacian and Q^+ = (Q + z z^T)^{-1} - z z^T, z the unit
+    +-1 vector of the 2-colouring on a bipartite G and 0 otherwise.  The
+    identity equates this with 1 - 1/(mq) minus a spectral sum over the
+    nontrivial eigenvalues of G, which is Q^+'s spectral form.  Returns
+    |LHS - RHS| of shape (m,), entry e - 1 for edge e; new node x reads
+    the entry of its edge e from triangulation.new_node_generator.
     """
     q, g = check_q(q), spec.graph
     bipartite, upper = _incidence_rank(g)
-    pinv = _signless_pinv(g, bipartite)
+    z = (1.0 - 2.0 * g._colours) / np.sqrt(g.n) if bipartite else np.zeros(g.n)
+    signless = (g.adjacency_matrix() + np.diag(g.degrees)).astype(float)
+    pinv = _gated_inverse(signless, np.outer(z, z), "signless Laplacian pseudoinverse Q^+")
     s, t = g._ends.T
     lhs = 1.0 - (pinv[s, s] + pinv[t, t] + 2.0 * pinv[s, t]) / q
 

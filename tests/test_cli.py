@@ -631,3 +631,19 @@ def test_numerical_failure_exits_3(error, monkeypatch, capsys):
     code, text = run_cli(["metrics", "--graph", "k3"])
     assert (code, text) == (3, "")
     assert capsys.readouterr().err == "numerical failure: no convergence\n"
+
+
+@pytest.mark.parametrize("fault", [lambda x: x + 1e-6 * np.eye(len(x)), lambda x: x * np.nan],
+                         ids=["off", "nan"])
+def test_numerical_failure_names_matrix_residual_and_limit(fault, monkeypatch, capsys):
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: fault(inv(a)))
+    code, text = run_cli(["metrics", "--graph", "k3"])
+    assert (code, text) == (3, "")
+    err = capsys.readouterr().err
+    found = re.fullmatch(
+        r"numerical failure: fundamental matrix Z residual (\S+) exceeds (\S+)\n", err
+    )
+    assert found, err
+    residual, limit = map(float, found.groups())
+    assert limit == 3e-10 and not residual <= limit

@@ -4,8 +4,8 @@ import inspect
 import numpy as np
 import pytest
 
-from trispectra import spectral
-from trispectra.errors import ConvergenceFailure, InvalidQError
+from trispectra import metrics, spectral
+from trispectra.errors import ConvergenceFailure, InvalidQError, SingularSystemError
 
 from trispectra.graph import complete_graph, cycle_graph, is_bipartite, path_graph, star_graph
 from trispectra.spectral import (
@@ -142,19 +142,39 @@ def test_lift_full_properties(small_corpus):
         assert np.all(lam ** 2 + 2 * q * (q + 1) * (1 + lam) >= 0)
 
 
+def _k3_webs():
+    """The K3 webs R_{1,k}, k <= 5, and R_{2,k}, k <= 3, each with its q."""
+    return [(s.result, q) for q, k in ((1, 5), (2, 3))
+            for s in iterate_triangulation(complete_graph(3), q, k)]
+
+
 def test_lift_eigenvalues_equal_lift_spectrum(acceptance_corpus):
     # eigenvalues bit for bit and branches by ==: the corpus at its q, the
-    # K3 webs R_{1,k}, k <= 5, and R_{2,k}, k <= 3, at their q, and two
-    # bipartite builtins at q = 1..3
-    webs = [(s.result, q) for q, k in ((1, 5), (2, 3))
-            for s in iterate_triangulation(complete_graph(3), q, k)]
+    # K3 webs at their q, and two bipartite builtins at q = 1..3
     builtins = [(g, q) for g in (cycle_graph(6), star_graph(10)) for q in (1, 2, 3)]
-    for g, q in list(acceptance_corpus) + webs + builtins:
+    for g, q in list(acceptance_corpus) + _k3_webs() + builtins:
         spec = eigendecompose(g)
         vals, branches = lift_eigenvalues(spec, q)
         lifted = lift_spectrum(spec, q)
         assert vals.tobytes() == lifted.eigenvalues.tobytes()
         assert branches == lifted.branches
+
+
+def test_lift_eigenvalue_branch_labels(acceptance_corpus):
+    # the label of every lifted eigenvalue, against rank B from an SVD
+    for g, q in list(acceptance_corpus) + _k3_webs():
+        vals, branches = lift_eigenvalues(eigendecompose(g), q)
+        rank = np.linalg.matrix_rank(g.incidence_matrix().astype(float))
+        by = {label: vals[[b == label for b in branches]] for label in set(branches)}
+        assert len(vals) == g.n + g.m * q
+        assert len(by["plus"]) == len(by["minus"]) == rank
+        assert by["plus"].min() >= 0.0 >= by["minus"].max()
+        zeros = by.get("zero", np.zeros(0))
+        assert len(zeros) == g.m * q - rank
+        assert np.all(zeros == 0.0) and not np.signbit(zeros).any()
+        special = by.get("bipartite-special", np.zeros(0))
+        assert special.tolist() == ([-1.0 / (q + 1)] if is_bipartite(g)[0] else [])
+        assert set(branches) <= {"plus", "minus", "zero", "bipartite-special"}
 
 
 def test_kernel_sum_identity_examples():
@@ -217,15 +237,49 @@ def test_kernel_sum_checks_null_space(monkeypatch, g):
         kernel_basis(g, 2)
 
 
-@pytest.mark.parametrize("g", [cycle_graph(5), cycle_graph(6)], ids=["odd", "bipartite"])
-def test_kernel_sum_checks_signless_inverse(monkeypatch, g):
-    # an inverse of Q + z z^T that is off by 1e-6 must be caught, whether
-    # z is 0 or the colouring vector
-    spec = eigendecompose(g)
-    inv = np.linalg.inv
-    monkeypatch.setattr(spectral.np.linalg, "inv", lambda a: inv(a) + 1e-6)
-    with pytest.raises(ConvergenceFailure):
-        kernel_sum_residual(spec, 2)
+#: each gated function: the module and name of the function that produces
+#: the result it gates (of eigh, the eigenvectors), and the call on a graph
+_GATED = {
+    "eigendecompose": (np.linalg, "eigh", eigendecompose),
+    "kernel_basis": (spectral, "_qr_kernel", lambda g: kernel_basis(g, 2)),
+    "hitting_oracle": (np.linalg, "inv", metrics.hitting_oracle),
+    "resistance_oracle": (np.linalg, "inv", metrics.resistance_oracle),
+    "kernel_sum_residual": (np.linalg, "inv", lambda g: kernel_sum_residual(eigendecompose(g), 2)),
+}
+
+#: a fault and the error it must raise; None means the producer raises
+#: LinAlgError, which only the direct inverses meet
+_FAULTS = {
+    "off": (lambda x: x + 1e-6 * np.eye(*x.shape), ConvergenceFailure),
+    "nan": (lambda x: np.full_like(x, np.nan), ConvergenceFailure),
+    "singular": (None, SingularSystemError),
+}
+
+
+@pytest.mark.parametrize("g", [complete_graph(4), cycle_graph(6)], ids=["odd", "bipartite"])
+@pytest.mark.parametrize("target, fault", [
+    (target, fault) for target, (_, name, _) in _GATED.items() for fault in _FAULTS
+    if fault != "singular" or name == "inv"
+])
+def test_every_gate_catches_faults(monkeypatch, target, fault, g):
+    # a result off by 1e-6 on its diagonal or all NaN misses its gate, and
+    # an inverse that numpy refuses is a singular system.  The offset is on
+    # the diagonal because a constant one is no error in L^+ (L J = 0).
+    # Both graphs have a nonempty ker B; Q + z z^T has z = 0 on K4 and the
+    # colouring vector on C6
+    owner, name, call = _GATED[target]
+    change, error = _FAULTS[fault]
+    produce = getattr(owner, name)
+
+    def faulty(*args):
+        if change is None:
+            raise np.linalg.LinAlgError("Singular matrix")
+        out = produce(*args)
+        return (*out[:-1], change(out[-1])) if isinstance(out, tuple) else change(out)
+
+    monkeypatch.setattr(owner, name, faulty)
+    with pytest.raises(error):
+        call(g)
 
 
 def test_kernel_sum_input_contract():
