@@ -38,7 +38,7 @@ from .iterated import (
     pseudofractal_metrics,
 )
 from .metrics import (
-    MetricsReport,
+    GraphSummary,
     compute_metrics,
     hitting_oracle,
     kemeny,
@@ -55,7 +55,6 @@ from .spectral import (
     lift_spectrum,
 )
 from .transfer import (
-    GraphSummary,
     new_old_resistance_sum,
     new_pair_resistance_sum,
     transfer_additive,

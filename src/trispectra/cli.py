@@ -135,8 +135,8 @@ def cmd_metrics(args, out) -> int:
             "max_route_deviation": float(max_dev),
             "foster_edge_sum": float(foster),
         }
-        for rep in (spectral_report, oracle_report):
-            payload["routes"][rep.route] = {
+        for route, rep in (("spectral", spectral_report), ("oracle", oracle_report)):
+            payload["routes"][route] = {
                 "kemeny": rep.kemeny,
                 "kirchhoff": rep.kirchhoff,
                 "additive": rep.additive,
@@ -156,9 +156,9 @@ def cmd_metrics(args, out) -> int:
                 w.writerow([_f12(x) for x in row])
     else:
         out.write(f"graph: n={g.n} m={g.m}\n")
-        for rep in (spectral_report, oracle_report):
+        for route, rep in (("spectral", spectral_report), ("oracle", oracle_report)):
             out.write(
-                f"{rep.route:>8}: kemeny {_f12(rep.kemeny)}  "
+                f"{route:>8}: kemeny {_f12(rep.kemeny)}  "
                 f"kirchhoff {_f12(rep.kirchhoff)}  "
                 f"additive {_f12(rep.additive)}  "
                 f"multiplicative {_f12(rep.multiplicative)}\n"

@@ -17,7 +17,7 @@ import math
 from fractions import Fraction
 
 from .errors import FloatOverflowError, GraphError, check_k, check_q
-from .transfer import GraphSummary
+from .metrics import GraphSummary
 
 
 def _float_range(closed_form):

@@ -5,30 +5,65 @@ The spectral route evaluates the eigenvalue/eigenvector formulas; the
 oracle route inverts matrices directly (the fundamental matrix for
 hitting times, the Laplacian pseudoinverse for resistances) and never
 touches the spectral formulas, so the two routes cross-validate.
+Either route returns a :class:`GraphSummary`, the one record of a graph's
+quantities, which the transfer formulas of :mod:`trispectra.transfer` read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import TrispectraError
+from .errors import GraphError, TrispectraError, is_index
 from .graph import Graph
 from .spectral import Spectrum, _gated_inverse, eigendecompose
 
 
 @dataclass(frozen=True, eq=False)
-class MetricsReport:
-    """All walk/resistance quantities of one graph from one route."""
+class GraphSummary:
+    """The quantities of G that the transfer formulas read.
 
-    hitting: np.ndarray        # n x n, hitting[i-1, j-1] = T_ij, zero diagonal
-    kemeny: float
-    resistance: np.ndarray     # n x n symmetric, zero diagonal
-    kirchhoff: float
-    additive: float
-    multiplicative: float
-    route: str                 # "spectral" | "oracle"
+    Scalars may be floats or Fractions.  ``hitting`` and ``resistance``
+    (full n x n matrices of G, 0-based numpy arrays) and ``graph`` (G
+    itself, whose canonical edge e is ``graph.edges[e - 1]``) are only
+    needed for the two-node transfers.  GraphError, naming the field,
+    unless n and m are integers with n >= 2 and n - 1 <= m <= n(n-1)/2
+    (a connected simple graph), ``graph`` is a Graph with these n and m
+    and each matrix has shape (n, n).
+    """
+
+    n: int
+    m: int
+    kemeny: object
+    kirchhoff: object
+    additive: object
+    multiplicative: object
+    hitting: object = None
+    resistance: object = None
+    graph: object = None
+
+    def __post_init__(self):
+        n, m = self.n, self.m
+        if not (is_index(n, n) and n >= 2):
+            raise GraphError(f"n must be an integer >= 2, got {n!r}")
+        top = n * (n - 1) // 2
+        if not (is_index(m, top) and m >= n - 1):
+            raise GraphError(f"m must be an integer in {n - 1}..{top}, got {m!r}")
+        g = self.graph
+        if g is not None and not (isinstance(g, Graph) and (g.n, g.m) == (n, m)):
+            raise GraphError(f"graph must be a Graph with n = {n} and m = {m}")
+        for name in ("hitting", "resistance"):
+            matrix = getattr(self, name)
+            if matrix is not None and getattr(matrix, "shape", None) != (n, n):
+                raise GraphError(f"{name} must be an {n} x {n} numpy array")
+
+    @classmethod
+    def from_graph(cls, g: Graph, with_matrices: bool = True) -> "GraphSummary":
+        """Summarize a graph via the oracle route, without its matrices
+        unless ``with_matrices``."""
+        summary = compute_metrics(g, "oracle")
+        return summary if with_matrices else replace(summary, hitting=None, resistance=None)
 
 
 # ---- oracle route -----------------------------------------------------
@@ -94,7 +129,7 @@ def resistance_spectral_matrix(spec: Spectrum) -> np.ndarray:
     return diag[:, None] + diag[None, :] - 2.0 * green
 
 
-# ---- indices and the combined report ---------------------------------
+# ---- indices and the summary ------------------------------------------
 
 
 def kirchhoff_indices(g: Graph, resistance: np.ndarray):
@@ -109,8 +144,8 @@ def kirchhoff_indices(g: Graph, resistance: np.ndarray):
     return plain, additive, multiplicative
 
 
-def compute_metrics(g: Graph, route: str = "oracle") -> MetricsReport:
-    """Build a full MetricsReport via the requested route."""
+def compute_metrics(g: Graph, route: str = "oracle") -> GraphSummary:
+    """The GraphSummary of g, with its matrices, via the requested route."""
     if route == "oracle":
         hitting = hitting_oracle(g)
         resistance = resistance_oracle(g)
@@ -124,12 +159,7 @@ def compute_metrics(g: Graph, route: str = "oracle") -> MetricsReport:
     else:
         raise TrispectraError(f"unknown route {route!r}; use 'oracle' or 'spectral'")
     plain, additive, multiplicative = kirchhoff_indices(g, resistance)
-    return MetricsReport(
-        hitting=hitting,
-        kemeny=kem,
-        resistance=resistance,
-        kirchhoff=plain,
-        additive=additive,
-        multiplicative=multiplicative,
-        route=route,
+    return GraphSummary(
+        n=g.n, m=g.m, kemeny=kem, kirchhoff=plain, additive=additive,
+        multiplicative=multiplicative, hitting=hitting, resistance=resistance, graph=g,
     )

@@ -86,7 +86,7 @@ def eigendecompose(g: Graph) -> Spectrum:
     vals = vals[order]
     vecs = _fix_signs(vecs[:, order])
     residual = np.linalg.norm(p @ vecs - vecs * vals, axis=0).max()
-    _gate(residual, _RESIDUAL * max(g.n, 1), "eigendecomposition of P")
+    _gate(residual, _RESIDUAL * g.n, "eigendecomposition of P")
     vals.setflags(write=False)
     vecs.setflags(write=False)
     return Spectrum(eigenvalues=vals, eigenvectors=vecs, graph=g)

@@ -1,6 +1,7 @@
 """Closed-form maps from quantities of G to quantities of R_q(G).
 
-Every function here is pure arithmetic on a :class:`GraphSummary`; the
+Every function here is pure arithmetic on a :class:`GraphSummary`, the
+record that ``compute_metrics`` returns for either route; the
 triangulation graph is never constructed or decomposed.  Rational
 coefficients are built with ``fractions.Fraction``, so feeding a summary
 whose scalars are Fractions yields exact rational outputs, while float
@@ -9,72 +10,11 @@ summaries flow through in ordinary 64-bit arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import GraphError, InvalidNodeRefError, SameNodeError, check_q, is_index
-from .metrics import compute_metrics
+from .errors import InvalidNodeRefError, SameNodeError, check_q, is_index
+from .metrics import GraphSummary
 from .triangulation import new_node_generator
-
-
-@dataclass(frozen=True, eq=False)
-class GraphSummary:
-    """The inputs the transfer formulas consume.
-
-    Scalars may be floats or Fractions.  ``hitting`` and ``resistance``
-    (full n x n matrices of G, 0-based numpy arrays) and ``edges`` (G's m
-    edges in canonical order, edge e at position e - 1) are only needed
-    for the two-node transfers.  GraphError, naming the field, unless n
-    and m are integers with n >= 2 and n - 1 <= m <= n(n-1)/2 (a
-    connected simple graph), ``edges`` is m pairs of distinct nodes in
-    1..n and each matrix has shape (n, n).
-    """
-
-    n: int
-    m: int
-    kemeny: object
-    kirchhoff: object
-    additive: object
-    multiplicative: object
-    hitting: object = None
-    resistance: object = None
-    edges: object = None
-
-    def __post_init__(self):
-        n, m = self.n, self.m
-        if not (is_index(n, n) and n >= 2):
-            raise GraphError(f"n must be an integer >= 2, got {n!r}")
-        top = n * (n - 1) // 2
-        if not (is_index(m, top) and m >= n - 1):
-            raise GraphError(f"m must be an integer in {n - 1}..{top}, got {m!r}")
-        try:
-            fits = self.edges is None or len(self.edges) == m and all(
-                len(e) == 2 and e[0] != e[1] and is_index(e[0], n) and is_index(e[1], n)
-                for e in self.edges
-            )
-        except TypeError:
-            fits = False
-        if not fits:
-            raise GraphError(f"edges must be m = {m} pairs of distinct nodes in 1..{n}")
-        for name in ("hitting", "resistance"):
-            matrix = getattr(self, name)
-            if matrix is not None and getattr(matrix, "shape", None) != (n, n):
-                raise GraphError(f"{name} must be an {n} x {n} numpy array")
-
-    @classmethod
-    def from_graph(cls, g, with_matrices: bool = True) -> "GraphSummary":
-        """Summarize a graph via the oracle route."""
-        report = compute_metrics(g, route="oracle")
-        return cls(
-            n=g.n, m=g.m,
-            kemeny=report.kemeny,
-            kirchhoff=report.kirchhoff,
-            additive=report.additive,
-            multiplicative=report.multiplicative,
-            hitting=report.hitting if with_matrices else None,
-            resistance=report.resistance if with_matrices else None,
-            edges=g.edges,
-        )
 
 
 def _generators(q: int, summary: GraphSummary, matrix: str, a, b):
@@ -82,15 +22,15 @@ def _generators(q: int, summary: GraphSummary, matrix: str, a, b):
     q_triangulate numbers them: {s, t} is a new node's generator edge in
     G, and an old node x is the degenerate edge {x, x}, both 0-based.
     InvalidNodeRefError for any other node, or for a summary without G's
-    matrix or edges."""
-    if getattr(summary, matrix) is None or summary.edges is None:
-        raise InvalidNodeRefError(f"summary carries no {matrix} matrix or no edges of G")
+    matrix or graph."""
+    if getattr(summary, matrix) is None or summary.graph is None:
+        raise InvalidNodeRefError(f"summary carries no {matrix} matrix or no graph G")
 
     def generator(x):
         if is_index(x, summary.n):
             return x - 1, x - 1, 0
         e, _ = new_node_generator(summary.n, summary.m, q, x)
-        s, t = summary.edges[e - 1]
+        s, t = summary.graph.edges[e - 1]
         return s - 1, t - 1, 1
 
     return generator(a), generator(b)

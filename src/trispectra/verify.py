@@ -194,11 +194,10 @@ def transfer_checks(g: Graph, q: int) -> list:
             ("hit new/new reverse", hit_t(q, summ, x2, x1), hit[x2 - 1, x1 - 1]),
             ("res new/new", res_t(q, summ, x1, x2), res[x1 - 1, x2 - 1]),
         ]
+    nxt = transfer.transferred_summary(q, summ)
+    rows += [(name, getattr(nxt, name), getattr(rep, name))
+             for name in ("kemeny", "kirchhoff", "additive", "multiplicative")]
     rows += [
-        ("kemeny", transfer.transfer_kemeny(q, summ), rep.kemeny),
-        ("kirchhoff", transfer.transfer_kirchhoff(q, summ), rep.kirchhoff),
-        ("additive", transfer.transfer_additive(q, summ), rep.additive),
-        ("multiplicative", transfer.transfer_multiplicative(q, summ), rep.multiplicative),
         ("cross sum", transfer.new_old_resistance_sum(q, summ), res[n:, :n].sum()),
         ("new-pair sum", transfer.new_pair_resistance_sum(q, summ),
          np.triu(res[n:, n:], 1).sum()),

@@ -20,6 +20,7 @@ from trispectra import (
     iterated_kemeny,
     iterated_kirchhoff,
     iterated_multiplicative,
+    path_graph,
     pseudofractal_metrics,
     transfer_additive,
     transfer_hitting,
@@ -147,7 +148,7 @@ def test_criterion_closed_loop():
         n=2, m=1,
         kemeny=Fraction(1, 2), kirchhoff=Fraction(1),
         additive=Fraction(2), multiplicative=Fraction(1),
-        hitting=flip, resistance=flip, edges=((1, 2),),
+        hitting=flip, resistance=flip, graph=path_graph(2),
     )
     x = 3  # the new node of R_1(K2), on edge (1, 2)
     dev = 0.0

@@ -3,7 +3,10 @@ import hashlib
 import inspect
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -173,11 +176,14 @@ def test_pseudofractal_json_17_digits():
     assert rows[1]["kemeny"] == pytest.approx(14 / 3, abs=1e-15)
 
 
-@pytest.mark.parametrize("q, kmax, digest", [
+PSEUDOFRACTAL_JSON_PINS = [
     (1, 321, "b1484164889dca683fb2a57d094de101dae9ba3088cd446a85db7c9c99a546d2"),
     (2, 219, "25aadaa00fb392ead7f5de860510dd930279fd304511956cfa4ef9c6e94bc65c"),
     (3, 181, "78d2b913aedb68adcfeb1ecdcded14e092fc4bf504753e100a00ef5db9056830"),
-])
+]
+
+
+@pytest.mark.parametrize("q, kmax, digest", PSEUDOFRACTAL_JSON_PINS)
 def test_pseudofractal_json_bytes(q, kmax, digest):
     """The exact closed forms, rounded once to float, up to the largest
     k whose row fits: the JSON bytes are pinned by their SHA-256."""
@@ -188,14 +194,17 @@ def test_pseudofractal_json_bytes(q, kmax, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("q, kmax, fmt, digest", [
+PSEUDOFRACTAL_TABLE_CSV_PINS = [
     (1, 321, "table", "4cf0f2c34c2dbf59029ce3c4065b7f66ae9c97e5d1531e5167ee2cf77a772566"),
     (1, 321, "csv", "2c12e50dcb832d988066d2af2cd159bfe957f0449812050ee579ca49f4d8a21f"),
     (2, 219, "table", "64926127b847fc23fcbb78d4f536c1789ef1eab493eac089d20afea7f60109b7"),
     (2, 219, "csv", "1ebeeea95fdb03291ff2f464999e26ea804b03505b21d625d31d4792c91ec0b5"),
     (3, 181, "table", "551bce5f59b3ba826dbad499e7a1284a1d5c521e3cbd1f2682921dd721068383"),
     (3, 181, "csv", "1a2738862d6b787f5b33fd83b5b09dca72cf525c3f5ee2ab4ab639bb8e957f32"),
-])
+]
+
+
+@pytest.mark.parametrize("q, kmax, fmt, digest", PSEUDOFRACTAL_TABLE_CSV_PINS)
 def test_pseudofractal_table_csv_bytes(q, kmax, fmt, digest):
     """The table and csv rows up to the same k, pinned like the JSON."""
     code, text = run_cli(
@@ -208,20 +217,24 @@ def test_pseudofractal_table_csv_bytes(q, kmax, fmt, digest):
 GOLDEN = Path(__file__).parent / "golden"
 
 
-@pytest.mark.parametrize("fmt, name", [
+METRICS_GOLDENS = [
     ("table", "metrics_cycle5.txt"),
     ("json", "metrics_cycle5.json"),
-])
+]
+TRANSFER_GOLDENS = [
+    (["--q", "2", "--graph", "path:4"], "transfer_path4_q2.txt"),
+    (["--q", "3", "--graph", "cycle:5"], "transfer_cycle5_q3.txt"),
+]
+
+
+@pytest.mark.parametrize("fmt, name", METRICS_GOLDENS)
 def test_metrics_cycle5_golden(fmt, name):
     code, text = run_cli(["metrics", "--graph", "cycle:5", "--format", fmt])
     assert code == 0
     assert text == (GOLDEN / name).read_text()
 
 
-@pytest.mark.parametrize("args, name", [
-    (["--q", "2", "--graph", "path:4"], "transfer_path4_q2.txt"),
-    (["--q", "3", "--graph", "cycle:5"], "transfer_cycle5_q3.txt"),
-])
+@pytest.mark.parametrize("args, name", TRANSFER_GOLDENS)
 def test_transfer_golden(args, name):
     code, text = run_cli(["transfer", *args])
     assert code == 0
@@ -381,7 +394,7 @@ def _metrics_reference(g) -> str:
         "n": g.n,
         "m": g.m,
         "routes": {
-            rep.route: {
+            route: {
                 "kemeny": rep.kemeny,
                 "kirchhoff": rep.kirchhoff,
                 "additive": rep.additive,
@@ -389,7 +402,7 @@ def _metrics_reference(g) -> str:
                 "hitting": rep.hitting.tolist(),
                 "resistance": rep.resistance.tolist(),
             }
-            for rep in (spec, oracle)
+            for route, rep in (("spectral", spec), ("oracle", oracle))
         },
         "max_route_deviation": float(max_dev),
         "foster_edge_sum": float(sum(oracle.resistance[i - 1, j - 1] for i, j in g.edges)),
@@ -491,17 +504,22 @@ def test_write_json_encodes_each_distinct_value_once(monkeypatch):
     assert len(floats) == 5
 
 
-def test_spectrum_and_pseudofractal_json_unchanged(tmp_path):
-    g = _relabelled_web()
-    path = tmp_path / "web.edges"
+def _assert_spectrum_is_lift(g, q, tmp_path):
+    """`spectrum --q` on g writes the library's lift as json.dumps(indent=2)
+    writes it."""
+    path = tmp_path / "g.edges"
     path.write_text(format_edge_list(g))
-    code, text = run_cli(["spectrum", "--input", str(path), "--q", "2"])
-    lifted = lift_spectrum(eigendecompose(g), 2)
+    code, text = run_cli(["spectrum", "--input", str(path), "--q", str(q)])
+    lifted = lift_spectrum(eigendecompose(g), q)
     assert code == 0
-    assert text == _indent2({
+    _assert_same_text(text, _indent2({
         "eigenvalues": lifted.eigenvalues.tolist(),
         "branch": list(lifted.branches),
-    })
+    }))
+
+
+def test_spectrum_and_pseudofractal_json_unchanged(tmp_path):
+    _assert_spectrum_is_lift(_relabelled_web(), 2, tmp_path)
     code, text = run_cli(["pseudofractal", "--q", "2", "--kmax", "12", "--format", "json"])
     keys = ("k", "n", "m", "kemeny", "multiplicative", "additive", "kirchhoff")
     assert code == 0
@@ -511,24 +529,65 @@ def test_spectrum_and_pseudofractal_json_unchanged(tmp_path):
     ])
 
 
-@pytest.mark.parametrize("source, q, digest", [
-    ("web", 1, "276867c4a3aedaa4e8e235b8fc413e6f3ade4229ac316b0577fc45c86954bc9c"),
+SPECTRUM_LIFT_PINS = [
     ("cycle:6", 2, "a03b97d7172aea12fdece3aa419dbec4c66786bdb04e3fb97804a84561e1cbe7"),
     ("star:10", 3, "b5f1ac2d92bfbf58c9db017b1deb3afd35fb89f878f849f971055c869dcab56c"),
-])
-def test_spectrum_lift_bytes(source, q, digest, tmp_path):
-    """`spectrum --q` on the relabelled R_{1,5}(K3) and two bipartite
-    builtins, pinned by the SHA-256 of its JSON.  The digits come from
-    LAPACK's eigh of G, so a numpy built on another LAPACK may move them."""
-    if source == "web":
-        path = tmp_path / "web.edges"
-        path.write_text(format_edge_list(_relabelled_web(5)))
-        argv = ["--input", str(path)]
-    else:
-        argv = ["--graph", source]
-    code, text = run_cli(["spectrum", *argv, "--q", str(q)])
+]
+
+
+@pytest.mark.parametrize("source, q, digest", SPECTRUM_LIFT_PINS)
+def test_spectrum_lift_bytes(source, q, digest):
+    """`spectrum --q` on two bipartite builtins, pinned by the SHA-256 of
+    its JSON.  The digits come from LAPACK's eigh of G, so a numpy built
+    on another LAPACK may move them."""
+    code, text = run_cli(["spectrum", "--graph", source, "--q", str(q)])
     assert code == 0
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_spectrum_lift_web_bytes(tmp_path):
+    """`spectrum --q 1` on the relabelled R_{1,5}(K3) (n = 366) against the
+    library's lift in the same process: most of its eigenvalues move in
+    the last bits with the BLAS thread count, so no digest can pin them."""
+    _assert_spectrum_is_lift(_relabelled_web(5), 1, tmp_path)
+
+
+#: writes the SHA-256 of the CLI's output for each argv list read from stdin
+_DIGEST_SCRIPT = """
+import hashlib, io, json, sys
+from trispectra.cli import main
+for argv in json.load(sys.stdin):
+    out = io.StringIO()
+    assert main(argv, out=out) == 0, argv
+    print(hashlib.sha256(out.getvalue().encode()).hexdigest())
+"""
+
+
+def test_byte_pins_hold_at_one_blas_thread():
+    """Every SHA-256 pin and golden output of this file, recomputed in one
+    child process with OpenBLAS held to one thread, so that a pin on an
+    input whose digits move with the thread count fails on any machine."""
+    pins = [(["pseudofractal", "--q", str(q), "--kmax", str(kmax), "--format", "json"], digest)
+            for q, kmax, digest in PSEUDOFRACTAL_JSON_PINS]
+    pins += [(["pseudofractal", "--q", str(q), "--kmax", str(kmax), "--format", fmt], digest)
+             for q, kmax, fmt, digest in PSEUDOFRACTAL_TABLE_CSV_PINS]
+    pins += [(["spectrum", "--graph", source, "--q", str(q)], digest)
+             for source, q, digest in SPECTRUM_LIFT_PINS]
+    goldens = [(["metrics", "--graph", "cycle:5", "--format", fmt], name)
+               for fmt, name in METRICS_GOLDENS]
+    goldens += [(["transfer", *args], name) for args, name in TRANSFER_GOLDENS]
+    pins += [(argv, hashlib.sha256((GOLDEN / name).read_bytes()).hexdigest())
+             for argv, name in goldens]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    child = subprocess.run(
+        [sys.executable, "-c", _DIGEST_SCRIPT], input=json.dumps([argv for argv, _ in pins]),
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert child.returncode == 0, child.stderr
+    assert len(pins) == 15
+    assert list(zip((argv for argv, _ in pins), child.stdout.split())) == pins
 
 
 def test_spectrum_lift_builds_no_eigenvectors(monkeypatch, tmp_path):

@@ -80,6 +80,8 @@ def test_out_of_range_endpoint_is_plain_graph_error():
     ([(1, 2, 3), (2, 3)], "(1, 2, 3)"),
     ([(1,), (2, 3)], "(1,)"),
     ([(1, np.float64(2.0)), (2, 3)], "(1, np.float64(2.0))"),
+    ([(2.0, 3), (1, 2)], "(2.0, 3)"),
+    ([5, (2, 3)], "5"),
 ])
 def test_non_integer_edge_is_graph_error(edges, shown):
     # int() would truncate (1.9, 2.2) to the edge (1, 2) and read True as node 1

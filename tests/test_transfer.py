@@ -1,9 +1,11 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import trispectra
+from trispectra import metrics, transfer
 from trispectra.errors import GraphError, InvalidNodeRefError, InvalidQError, SameNodeError
 from trispectra.graph import complete_graph, path_graph
 from trispectra.metrics import (
@@ -35,16 +37,16 @@ K2 = GraphSummary(
                       [Fraction(1), Fraction(0)]], dtype=object),
     resistance=np.array([[Fraction(0), Fraction(1)],
                          [Fraction(1), Fraction(0)]], dtype=object),
-    edges=((1, 2),),
+    graph=path_graph(2),
 )
-# P3 = 1-2-3 and K3 given by hand, with no graph behind them
+# P3 = 1-2-3 and K3, their values given by hand
 P3 = GraphSummary(
     n=3, m=2,
     kemeny=Fraction(3, 2), kirchhoff=Fraction(4), additive=Fraction(10),
     multiplicative=Fraction(6),
     hitting=np.array([[0, 1, 4], [3, 0, 3], [4, 1, 0]], dtype=object) * Fraction(1),
     resistance=np.array([[0, 1, 2], [1, 0, 1], [2, 1, 0]], dtype=object) * Fraction(1),
-    edges=((1, 2), (2, 3)),
+    graph=path_graph(3),
 )
 _OFF = np.ones((3, 3), dtype=object) - np.eye(3, dtype=int)
 K3 = GraphSummary(
@@ -52,7 +54,7 @@ K3 = GraphSummary(
     kemeny=Fraction(4, 3), kirchhoff=Fraction(2), additive=Fraction(8),
     multiplicative=Fraction(8),
     hitting=_OFF * Fraction(2), resistance=_OFF * Fraction(2, 3),
-    edges=((1, 2), (1, 3), (2, 3)),
+    graph=complete_graph(3),
 )
 
 
@@ -139,14 +141,14 @@ def test_invalid_refs():
                     f(q, K2, bad, 1)
                 with pytest.raises(InvalidNodeRefError):
                     f(q, K2, 3, bad)
-    # a summary without G's matrices or edges cannot answer a two-node call
+    # a summary without G's matrices or graph cannot answer a two-node call
     no_matrices = GraphSummary.from_graph(complete_graph(3), with_matrices=False)
-    no_edges = GraphSummary(
+    no_graph = GraphSummary(
         n=2, m=1, kemeny=K2.kemeny, kirchhoff=K2.kirchhoff,
         additive=K2.additive, multiplicative=K2.multiplicative,
         hitting=K2.hitting, resistance=K2.resistance,
     )
-    for summ in (no_matrices, no_edges):
+    for summ in (no_matrices, no_graph):
         for f in (transfer_hitting, transfer_resistance):
             for a, b in ((1, 2), (3, 1)):
                 with pytest.raises(InvalidNodeRefError):
@@ -197,7 +199,9 @@ def _paper_cases(q, summ, a, b):
         return summ.resistance[i - 1, j - 1]
 
     def edge(x):
-        return None if x <= summ.n else summ.edges[new_node_generator(summ.n, m, q, x)[0] - 1]
+        if x <= summ.n:
+            return None
+        return summ.graph.edges[new_node_generator(summ.n, m, q, x)[0] - 1]
 
     ga, gb = edge(a), edge(b)
     if ga is None and gb is None:
@@ -236,16 +240,13 @@ def test_one_formula_equals_paper_cases_exactly(summ, q):
 def test_summary_fields_must_fit_n_and_m(k3_summary):
     # each input used to give a raw IndexError or an answer for the wrong m
     for field, change in (
-        ("edges", {"edges": k3_summary.edges[:2]}),
-        ("edges", {"edges": ((1, 2), (1, 5), (2, 3))}),
+        # a graph with another n, another m, and bare edges for a Graph;
+        # build_graph alone validates an edge list
+        ("graph", {"graph": path_graph(4)}),
+        ("graph", {"graph": path_graph(3)}),
+        ("graph", {"graph": k3_summary.graph.edges}),
         ("hitting", {"hitting": k3_summary.hitting[:2, :2]}),
-        ("edges", {"m": 2}),
-        # and, as build_graph rejects them, a bool, a float, a self-loop
-        # and a bare number for an edge
-        ("edges", {"edges": ((1, 2), (1, 3), (True, 3))}),
-        ("edges", {"edges": ((1, 2), (1, 3), (2.0, 3))}),
-        ("edges", {"edges": ((1, 2), (1, 3), (3, 3))}),
-        ("edges", {"edges": ((1, 2), (1, 3), 5)}),
+        ("graph", {"m": 2}),
         ("resistance", {"resistance": K2.resistance}),
         ("resistance", {"resistance": k3_summary.resistance.tolist()}),
         # n and m themselves: n = -3 gave a Kirchhoff index of -1.5, and
@@ -263,7 +264,7 @@ def test_summary_fields_must_fit_n_and_m(k3_summary):
             replace(k3_summary, **change)
         if field in ("n", "m"):
             with pytest.raises(GraphError, match=f"^{field} must"):
-                replace(k3_summary, hitting=None, resistance=None, edges=None, **change)
+                replace(k3_summary, hitting=None, resistance=None, graph=None, **change)
 
 
 @pytest.mark.parametrize("build", [
@@ -272,7 +273,7 @@ def test_summary_fields_must_fit_n_and_m(k3_summary):
     compute_metrics,
     GraphSummary.from_graph,
     lambda g: q_triangulate(g, 2),
-], ids=["Spectrum", "LiftedSpectrum", "MetricsReport", "GraphSummary", "TriangulationResult"])
+], ids=["Spectrum", "LiftedSpectrum", "compute_metrics", "GraphSummary", "TriangulationResult"])
 def test_records_compare_and_hash(build):
     # records that carry arrays compare by identity; a TriangulationResult
     # compares its graphs
@@ -280,6 +281,40 @@ def test_records_compare_and_hash(build):
     assert a == a and hash(a) == hash(a)
     assert (a == b) is isinstance(a, TriangulationResult)
     assert len({a, b}) == (1 if a == b else 2)
+
+
+def test_compute_metrics_is_the_summary_of_g():
+    # one record: either route returns the summary the transfers read,
+    # carrying G itself
+    g = complete_graph(3)
+    for route in ("oracle", "spectral"):
+        summ = compute_metrics(g, route)
+        assert type(summ) is GraphSummary and summ.graph is g
+        assert (summ.n, summ.m) == (g.n, g.m)
+    assert transfer.GraphSummary is metrics.GraphSummary
+    bare = GraphSummary.from_graph(g, with_matrices=False)
+    assert bare.hitting is None and bare.resistance is None and bare.graph is g
+    assert [f.name for f in fields(GraphSummary)] == [
+        "n", "m", "kemeny", "kirchhoff", "additive", "multiplicative",
+        "hitting", "resistance", "graph",
+    ]
+    assert not hasattr(trispectra, "MetricsReport")
+
+
+def test_either_route_feeds_the_transfers(small_corpus):
+    # the oracle route's summary gives from_graph's values bit for bit, and
+    # the spectral route's agrees to rounding, on every old/new pair kind
+    for g, q in small_corpus:
+        want_summ = GraphSummary.from_graph(g)
+        oracle, spectral = compute_metrics(g, "oracle"), compute_metrics(g, "spectral")
+        tri = q_triangulate(g, q)
+        x1, x2 = tri.new_node_index(1, 1), tri.new_node_index(g.m, q)
+        pairs = [(1, 2), (x1, 2), (2, x1)] + ([(x1, x2), (x2, x1)] if x1 != x2 else [])
+        for f in (transfer_hitting, transfer_resistance):
+            for a, b in pairs:
+                want = f(q, want_summ, a, b)
+                assert f(q, oracle, a, b) == want
+                assert f(q, spectral, a, b) == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_q_validation(k3_summary):
