@@ -46,7 +46,6 @@ from .metrics import (
     resistance_oracle,
 )
 from .spectral import (
-    LiftedSpectrum,
     Spectrum,
     eigendecompose,
     kernel_basis,

@@ -119,8 +119,15 @@ def cmd_triangulate(args, out) -> int:
 
 def cmd_metrics(args, out) -> int:
     g = _load_graph(args)
-    spectral_report = compute_metrics(g, "spectral")
     oracle_report = compute_metrics(g, "oracle")
+    if args.format == "csv":  # the oracle matrices alone
+        for name in ("hitting", "resistance"):
+            out.write(f"# {name}\n")
+            w = csv.writer(out)
+            for row in getattr(oracle_report, name):
+                w.writerow([_f12(x) for x in row])
+        return EXIT_OK
+    spectral_report = compute_metrics(g, "spectral")
     max_dev = max(
         np.abs(spectral_report.hitting - oracle_report.hitting).max(),
         np.abs(spectral_report.resistance - oracle_report.resistance).max(),
@@ -145,15 +152,6 @@ def cmd_metrics(args, out) -> int:
                 "resistance": rep.resistance,
             }
         _write_json(payload, out)
-    elif args.format == "csv":
-        for name, mat in (
-            ("hitting", oracle_report.hitting),
-            ("resistance", oracle_report.resistance),
-        ):
-            out.write(f"# {name}\n")
-            w = csv.writer(out)
-            for row in mat:
-                w.writerow([_f12(x) for x in row])
     else:
         out.write(f"graph: n={g.n} m={g.m}\n")
         for route, rep in (("spectral", spectral_report), ("oracle", oracle_report)):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral
 from operator import index
 
 import numpy as np
@@ -111,6 +112,14 @@ class Graph:
         return self.degrees / (2.0 * self.m)
 
 
+def _count(x, what: str) -> int:
+    """x as a Python int; GraphError naming ``what`` unless x is an
+    integer.  numpy integers are accepted; bools are rejected."""
+    if isinstance(x, bool) or not isinstance(x, Integral):
+        raise GraphError(f"{what} must be an integer, got {x!r}")
+    return int(x)
+
+
 def build_graph(n: int, edges) -> Graph:
     """Validate and canonicalize an edge list into a :class:`Graph`.
 
@@ -128,12 +137,7 @@ def build_graph(n: int, edges) -> Graph:
     n or an edge that is not made of integers (bools included), and for
     an endpoint outside 1..n
     """
-    try:
-        if isinstance(n, bool):
-            raise TypeError
-        n = index(n)
-    except TypeError:
-        raise GraphError(f"node count must be an integer, got {n!r}") from None
+    n = _count(n, "node count")
     if n < 1:
         raise EmptyGraphError(f"node count must be >= 1, got {n}")
     canon = []
@@ -234,24 +238,25 @@ def format_edge_list(g: Graph) -> str:
 
 
 def complete_graph(n: int) -> Graph:
+    n = _count(n, "node count")
     return build_graph(n, [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)])
 
 
 def cycle_graph(n: int) -> Graph:
-    if n < 3:
+    if _count(n, "node count") < 3:
         raise EmptyGraphError("cycle needs at least 3 nodes")
     return build_graph(n, [(i, i + 1) for i in range(1, n)] + [(1, n)])
 
 
 def path_graph(n: int) -> Graph:
-    if n < 2:
+    if _count(n, "node count") < 2:
         raise EmptyGraphError("path needs at least 2 nodes")
     return build_graph(n, [(i, i + 1) for i in range(1, n)])
 
 
 def star_graph(n: int) -> Graph:
     """Star with center node 1 and n leaves (n+1 nodes total)."""
-    if n < 1:
+    if _count(n, "leaf count") < 1:
         raise EmptyGraphError("star needs at least 1 leaf")
     return build_graph(n + 1, [(1, j) for j in range(2, n + 2)])
 

@@ -30,7 +30,8 @@ class GraphSummary:
     needed for the two-node transfers.  GraphError, naming the field,
     unless n and m are integers with n >= 2 and n - 1 <= m <= n(n-1)/2
     (a connected simple graph), ``graph`` is a Graph with these n and m
-    and each matrix has shape (n, n).
+    and each matrix has shape (n, n).  n and m are kept as Python ints,
+    so that no product of counts in a closed form overflows.
     """
 
     n: int
@@ -47,9 +48,11 @@ class GraphSummary:
         n, m = self.n, self.m
         if not (is_index(n, n) and n >= 2):
             raise GraphError(f"n must be an integer >= 2, got {n!r}")
+        n = int(n)
         top = n * (n - 1) // 2
         if not (is_index(m, top) and m >= n - 1):
             raise GraphError(f"m must be an integer in {n - 1}..{top}, got {m!r}")
+        self.__dict__.update(n=n, m=int(m))
         g = self.graph
         if g is not None and not (isinstance(g, Graph) and (g.n, g.m) == (n, m)):
             raise GraphError(f"graph must be a Graph with n = {n} and m = {m}")

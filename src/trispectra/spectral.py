@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import ConvergenceFailure, SingularSystemError, check_q
 from .graph import Graph, is_bipartite
+from .triangulation import q_triangulate
 
 #: eigenpairs and direct inverses, here and in metrics, are gated at this times n
 _RESIDUAL = 1e-10
@@ -44,31 +45,17 @@ def _gated_inverse(m: np.ndarray, kk, what: str) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Eigenvalues (descending) and orthonormal eigenvectors of P(graph).
+    """Eigenvalues (descending) and orthonormal eigenvectors of P(graph),
+    from eigendecompose(graph) or, for graph = R_q(G), lift_spectrum.
 
     ``eigenvectors[:, k]`` is the unit eigenvector for ``eigenvalues[k]``;
-    the first eigenvector is proportional to sqrt(d_i / 2m) and every
-    column has its first nonzero entry positive.
+    the first is sqrt(d_i / 2m), and in every column the first entry of
+    magnitude > 1e-8 is positive.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     graph: Graph
-
-
-@dataclass(frozen=True, eq=False)
-class LiftedSpectrum:
-    """Eigenvalues (descending) and eigenvectors of P(R_q(G)) from the
-    closed-form lift, which never builds R_q(G).
-
-    ``branches[k]`` labels where eigenvalue k came from: "plus" / "minus"
-    (the two branch roots per input eigenvalue), "zero" (kernel of C),
-    or "bipartite-special" (the lone -1/(q+1)).
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    branches: tuple
 
 
 def _fix_signs(vecs: np.ndarray) -> np.ndarray:
@@ -160,7 +147,9 @@ def _lifted_values(spec: Spectrum, q: int):
 
 def lift_eigenvalues(spec: Spectrum, q: int) -> tuple[np.ndarray, tuple]:
     """(eigenvalues, branches) of P(R_q(G)) from the eigenvalues of
-    G = spec.graph alone, equal to lift_spectrum's fields bit for bit.
+    G = spec.graph alone, the eigenvalues equal to lift_spectrum's bit for
+    bit; branch k is "plus" or "minus" (the root's sign), "zero" (ker C)
+    or "bipartite-special" (the lone -1/(q+1)).
 
     O(n + mq) work: no eigenvector matrix and no basis of ker C is built,
     so kernel_basis's ker B residual check does not run; the m*q - rank B
@@ -169,8 +158,9 @@ def lift_eigenvalues(spec: Spectrum, q: int) -> tuple[np.ndarray, tuple]:
     return _lifted_values(spec, check_q(q))[:2]
 
 
-def lift_spectrum(spec: Spectrum, q: int) -> LiftedSpectrum:
-    """Spectrum of R_q(G) from the spectrum of G = spec.graph.
+def lift_spectrum(spec: Spectrum, q: int) -> Spectrum:
+    """Spectrum of R_q(G) from the spectrum of G = spec.graph, with
+    R_q(G) built by q_triangulate as its graph but never decomposed.
 
     Branch eigenvectors follow the closed form: the old-node block is the
     scaled input eigenvector, the q new-node blocks are identical copies
@@ -179,8 +169,7 @@ def lift_spectrum(spec: Spectrum, q: int) -> LiftedSpectrum:
     """
     q, g = check_q(q), spec.graph
     n, m = g.n, g.m
-    nt = n + m * q
-    vals, branches, order, numer, sqrt_delta = _lifted_values(spec, q)
+    vals, _, order, numer, sqrt_delta = _lifted_values(spec, q)
     n_branch = len(sqrt_delta)
 
     lam = spec.eigenvalues[:n_branch]
@@ -195,7 +184,7 @@ def lift_spectrum(spec: Spectrum, q: int) -> LiftedSpectrum:
     zeros = m * q - n_branch
     # in _lifted_values's column layout
     cols = [
-        np.stack(vecs, axis=2).reshape(nt, 2 * n_branch),
+        np.stack(vecs, axis=2).reshape(-1, 2 * n_branch),
         np.vstack([np.zeros((n, zeros)), kernel_basis(g, q)]),
     ]
     if n_branch < n:  # bipartite: rank B = n - 1
@@ -204,7 +193,7 @@ def lift_spectrum(spec: Spectrum, q: int) -> LiftedSpectrum:
 
     mat = _fix_signs(np.hstack(cols)[:, order])
     mat.setflags(write=False)
-    return LiftedSpectrum(eigenvalues=vals, eigenvectors=mat, branches=branches)
+    return Spectrum(eigenvalues=vals, eigenvectors=mat, graph=q_triangulate(g, q).result)
 
 
 def kernel_sum_residual(spec: Spectrum, q: int) -> np.ndarray:

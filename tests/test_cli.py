@@ -19,7 +19,7 @@ from trispectra.errors import ConvergenceFailure, SingularSystemError
 from trispectra.graph import build_graph, complete_graph, cycle_graph, format_edge_list
 from trispectra.iterated import pseudofractal_metrics
 from trispectra.metrics import compute_metrics
-from trispectra.spectral import eigendecompose, lift_spectrum
+from trispectra.spectral import eigendecompose, lift_eigenvalues, lift_spectrum
 from trispectra.triangulation import iterate_triangulation, predicted_counts
 from trispectra.verify import make_corpus
 
@@ -510,11 +510,11 @@ def _assert_spectrum_is_lift(g, q, tmp_path):
     path = tmp_path / "g.edges"
     path.write_text(format_edge_list(g))
     code, text = run_cli(["spectrum", "--input", str(path), "--q", str(q)])
-    lifted = lift_spectrum(eigendecompose(g), q)
+    spec = eigendecompose(g)
     assert code == 0
     _assert_same_text(text, _indent2({
-        "eigenvalues": lifted.eigenvalues.tolist(),
-        "branch": list(lifted.branches),
+        "eigenvalues": lift_spectrum(spec, q).eigenvalues.tolist(),
+        "branch": list(lift_eigenvalues(spec, q)[1]),
     }))
 
 
@@ -603,6 +603,21 @@ def test_spectrum_lift_builds_no_eigenvectors(monkeypatch, tmp_path):
     code, _ = run_cli(["spectrum", "--input", str(path), "--q", "2"])
     assert code == 0
     assert [calls[name] for name in names] == [0, 0, 0, 0, 1]
+
+
+def test_metrics_csv_runs_only_the_oracle_route(monkeypatch):
+    # csv prints the oracle matrices alone, so no eigendecomposition runs
+    # and an eigh failure cannot fail it for a value it never writes
+    calls = Counter()
+    _count(monkeypatch, calls, spectral, "eigendecompose")
+    code, text = run_cli(["metrics", "--graph", "cycle:5", "--format", "csv"])
+    assert (code, calls["eigendecompose"]) == (0, 0)
+    g = cycle_graph(5)
+    want = ""
+    for name, mat in (("hitting", metrics.hitting_oracle(g)),
+                      ("resistance", metrics.resistance_oracle(g))):
+        want += f"# {name}\n" + "".join(",".join(map(cli._f12, row)) + "\r\n" for row in mat)
+    assert text == want
 
 
 # ---- input contract: every input is used or rejected ------------------

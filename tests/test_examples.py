@@ -26,5 +26,7 @@ def test_readme_quick_tour_runs():
     namespace = {}
     exec(compile(tour[1], "README.md quick tour", "exec"), namespace)
     assert namespace["lifted"].eigenvalues.size == namespace["r"].n
+    assert namespace["lifted"].graph == namespace["r"]
+    assert namespace["kemeny"](namespace["lifted"]) == pytest.approx(namespace["rep"].kemeny, rel=1e-12)
     assert namespace["rep"].kemeny == pytest.approx(
         float(namespace["transfer_kemeny"](1, namespace["summary"])), rel=1e-12)

@@ -105,6 +105,27 @@ def test_numpy_integers_build_python_ints():
     assert all(type(x) is int for e in g.edges for x in e)
 
 
+_BUILDERS = [complete_graph, cycle_graph, path_graph, star_graph]
+
+
+@pytest.mark.parametrize("size", [2.5, "3", None, True, np.float64(3.0)])
+@pytest.mark.parametrize("builder", _BUILDERS, ids=lambda b: b.__name__)
+def test_builder_rejects_non_integer_size(builder, size):
+    # a float, string or None gave a raw TypeError from range, and
+    # star_graph(True) built K2
+    with pytest.raises(GraphError) as info:
+        builder(size)
+    assert type(info.value) is GraphError
+    assert str(info.value).endswith(f"count must be an integer, got {size!r}")
+
+
+@pytest.mark.parametrize("builder", _BUILDERS, ids=lambda b: b.__name__)
+def test_builder_takes_numpy_sizes(builder):
+    assert builder(np.int64(4)) == builder(4)
+    with pytest.raises(EmptyGraphError):
+        builder(np.int64(0))
+
+
 def test_degree_sum_is_2m(small_corpus):
     for g, _ in small_corpus:
         assert g.degrees.sum() == 2 * g.m

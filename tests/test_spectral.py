@@ -6,15 +6,18 @@ import pytest
 
 from trispectra import metrics, spectral
 from trispectra.errors import ConvergenceFailure, InvalidQError, SingularSystemError
+from trispectra.iterated import pseudofractal_metrics
 
 from trispectra.graph import complete_graph, cycle_graph, is_bipartite, path_graph, star_graph
 from trispectra.spectral import (
+    Spectrum,
     eigendecompose,
     kernel_basis,
     kernel_sum_residual,
     lift_eigenvalues,
     lift_spectrum,
 )
+from trispectra.transfer import transfer_kemeny
 from trispectra.triangulation import iterate_triangulation, q_triangulate
 
 
@@ -99,13 +102,15 @@ def test_lift_k3_q1_multiset():
 
 
 def test_lift_k2_q1_is_k3_spectrum():
-    g = complete_graph(2)
-    lifted = lift_spectrum(eigendecompose(g), 1)
+    spec = eigendecompose(complete_graph(2))
+    lifted = lift_spectrum(spec, 1)
     assert np.allclose(
         np.sort(lifted.eigenvalues), [-0.5, -0.5, 1.0], atol=1e-12
     )
-    assert lifted.branches.count("zero") == 0
-    assert "bipartite-special" in lifted.branches
+    assert lifted.graph == complete_graph(3)
+    branches = lift_eigenvalues(spec, 1)[1]
+    assert branches.count("zero") == 0
+    assert "bipartite-special" in branches
 
 
 def test_lift_top_branch_values(small_corpus):
@@ -135,9 +140,9 @@ def test_lift_full_properties(small_corpus):
         ).max()
         assert resid < 1e-9 * r.n
         bip = is_bipartite(g)[0]
-        zeros = lifted.branches.count("zero")
-        assert zeros == g.m * q - g.n + (1 if bip else 0)
-        assert lifted.branches.count("bipartite-special") == (1 if bip else 0)
+        branches = lift_eigenvalues(spec, q)[1]
+        assert branches.count("zero") == g.m * q - g.n + (1 if bip else 0)
+        assert branches.count("bipartite-special") == (1 if bip else 0)
         lam = spec.eigenvalues[:-1]
         assert np.all(lam ** 2 + 2 * q * (q + 1) * (1 + lam) >= 0)
 
@@ -149,15 +154,20 @@ def _k3_webs():
 
 
 def test_lift_eigenvalues_equal_lift_spectrum(acceptance_corpus):
-    # eigenvalues bit for bit and branches by ==: the corpus at its q, the
-    # K3 webs at their q, and two bipartite builtins at q = 1..3
+    # eigenvalues bit for bit, and each label against the lifted column it
+    # names: a ker C column vanishes on the old nodes, the bipartite
+    # special on the new ones, and a branch column on neither.  On the
+    # corpus at its q, the K3 webs at their q, and two bipartite builtins
+    # at q = 1..3
     builtins = [(g, q) for g in (cycle_graph(6), star_graph(10)) for q in (1, 2, 3)]
     for g, q in list(acceptance_corpus) + _k3_webs() + builtins:
         spec = eigendecompose(g)
         vals, branches = lift_eigenvalues(spec, q)
         lifted = lift_spectrum(spec, q)
         assert vals.tobytes() == lifted.eigenvalues.tobytes()
-        assert branches == lifted.branches
+        old, new = np.split(lifted.eigenvectors, [g.n])
+        assert (~old.any(axis=0)).tolist() == [b == "zero" for b in branches]
+        assert (~new.any(axis=0)).tolist() == [b == "bipartite-special" for b in branches]
 
 
 def test_lift_eigenvalue_branch_labels(acceptance_corpus):
@@ -175,6 +185,61 @@ def test_lift_eigenvalue_branch_labels(acceptance_corpus):
         special = by.get("bipartite-special", np.zeros(0))
         assert special.tolist() == ([-1.0 / (q + 1)] if is_bipartite(g)[0] else [])
         assert set(branches) <= {"plus", "minus", "zero", "bipartite-special"}
+
+
+def _rel(got, want):
+    """max |got - want| / max(1, |want|) over the entries."""
+    return np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want)))
+
+
+def test_spectral_route_from_a_lift(small_corpus):
+    # the paper's route: R_q(G)'s hitting times, resistances and Kemeny's
+    # constant from G's eigenpairs, lifted, against the oracles on the
+    # built R_q(G) and the Kemeny transfer from G's summary
+    for g, q in small_corpus:
+        lifted = lift_spectrum(eigendecompose(g), q)
+        r = q_triangulate(g, q).result
+        assert _rel(metrics.hitting_spectral_matrix(lifted), metrics.hitting_oracle(r)) < 1e-12
+        assert _rel(metrics.resistance_spectral_matrix(lifted), metrics.resistance_oracle(r)) < 1e-12
+        assert _rel(metrics.kemeny(lifted), float(transfer_kemeny(q, metrics.compute_metrics(g)))) < 1e-12
+
+
+def test_lift_of_a_lift(small_corpus):
+    # lifts compose: twice lifted, G's spectrum is that of R_{q,2}(G)
+    for g, q in small_corpus:
+        twice = lift_spectrum(lift_spectrum(eigendecompose(g), q), q)
+        r2 = iterate_triangulation(g, q, 2)[1].result
+        p = r2.normalized_adjacency()
+        assert twice.graph == r2
+        assert np.abs(np.sort(twice.eigenvalues) - np.linalg.eigvalsh(p)).max() < 1e-12
+        u = twice.eigenvectors
+        assert np.linalg.norm(p @ u - u * twice.eigenvalues, axis=0).max() <= 1e-10 * r2.n
+
+
+def test_webs_by_repeated_lift():
+    # K3 lifted k times is the pseudofractal web R_{q,k}(K3), whose
+    # Kemeny constant has a closed form
+    k3 = complete_graph(3)
+    for q, kmax in ((1, 4), (2, 3)):
+        spec = eigendecompose(k3)
+        for k, step in enumerate(iterate_triangulation(k3, q, kmax), start=1):
+            spec = lift_spectrum(spec, q)
+            assert spec.graph == step.result
+            assert _rel(metrics.kemeny(spec), float(pseudofractal_metrics(q, k)[0])) < 1e-12
+
+
+def test_lift_meets_the_spectrum_contract(small_corpus):
+    # test_spectrum_invariants' contract, on the lift of G to R_q(G)
+    for g, q in small_corpus:
+        lifted = lift_spectrum(eigendecompose(g), q)
+        r, vals, vecs = lifted.graph, lifted.eigenvalues, lifted.eigenvectors
+        assert np.all(np.diff(vals) <= 0)
+        assert np.abs(vecs.T @ vecs - np.eye(r.n)).max() < 1e-10
+        assert np.abs(vecs[:, 0] - np.sqrt(r.degrees / (2.0 * r.m))).max() < 1e-10
+        big = np.abs(vecs) > 1e-8
+        assert big.any(axis=0).all()
+        assert np.all(vecs[big.argmax(axis=0), np.arange(r.n)] > 0)
+        assert kernel_sum_residual(lifted, q).max() <= 1e-12
 
 
 def test_kernel_sum_identity_examples():
@@ -322,8 +387,14 @@ def test_spectral_functions_take_the_graph_from_the_spectrum():
         "hitting_spectral_matrix": ["spec"],
         "resistance_spectral_matrix": ["spec"],
     }
-    assert [f.name for f in dataclasses.fields(spectral.LiftedSpectrum)] == [
-        "eigenvalues", "eigenvectors", "branches",
-    ]
     g = cycle_graph(5)
     assert eigendecompose(g).graph is g
+    # a lift is a Spectrum too, whose graph is R_q(G) as q_triangulate
+    # numbers it
+    lifted = lift_spectrum(eigendecompose(g), 2)
+    assert type(lifted) is Spectrum
+    assert lifted.graph == q_triangulate(g, 2).result
+    assert [f.name for f in dataclasses.fields(Spectrum)] == [
+        "eigenvalues", "eigenvectors", "graph",
+    ]
+    assert not hasattr(spectral, "LiftedSpectrum")

@@ -8,6 +8,12 @@ import trispectra
 from trispectra import metrics, transfer
 from trispectra.errors import GraphError, InvalidNodeRefError, InvalidQError, SameNodeError
 from trispectra.graph import complete_graph, path_graph
+from trispectra.iterated import (
+    iterated_additive,
+    iterated_kemeny,
+    iterated_kirchhoff,
+    iterated_multiplicative,
+)
 from trispectra.metrics import (
     compute_metrics,
     hitting_oracle,
@@ -267,13 +273,35 @@ def test_summary_fields_must_fit_n_and_m(k3_summary):
                 replace(k3_summary, hitting=None, resistance=None, graph=None, **change)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_summary_keeps_numpy_counts_as_python_ints():
+    # numpy n and m used to stay int64, so n*m overflowed in the closed
+    # forms with only a RuntimeWarning: iterated_additive and
+    # iterated_kirchhoff gave wrong values and transfer_additive raised a
+    # raw OverflowError
+    n, m, kem = 3 * 10**9, 4 * 10**9, Fraction(4, 3)
+    python, numpy = (
+        GraphSummary(n=n_, m=m_, kemeny=kem, kirchhoff=Fraction(2), additive=Fraction(8),
+                     multiplicative=2 * m * kem)
+        for n_, m_ in ((n, m), (np.int64(n), np.int64(m)))
+    )
+    assert type(numpy.n) is int and type(numpy.m) is int
+    for fn in (transfer_kemeny, transfer_kirchhoff, transfer_additive, transfer_multiplicative,
+               new_old_resistance_sum, new_pair_resistance_sum):
+        assert fn(1, numpy) == fn(1, python), fn.__name__
+    for fn in (iterated_kemeny, iterated_kirchhoff, iterated_additive, iterated_multiplicative):
+        assert fn(numpy, 1, 1) == fn(python, 1, 1), fn.__name__
+    got, want = transferred_summary(1, numpy), transferred_summary(1, python)
+    assert [getattr(got, f.name) for f in fields(got)] == [getattr(want, f.name) for f in fields(want)]
+
+
 @pytest.mark.parametrize("build", [
     eigendecompose,
     lambda g: lift_spectrum(eigendecompose(g), 2),
     compute_metrics,
     GraphSummary.from_graph,
     lambda g: q_triangulate(g, 2),
-], ids=["Spectrum", "LiftedSpectrum", "compute_metrics", "GraphSummary", "TriangulationResult"])
+], ids=["Spectrum", "lifted Spectrum", "compute_metrics", "GraphSummary", "TriangulationResult"])
 def test_records_compare_and_hash(build):
     # records that carry arrays compare by identity; a TriangulationResult
     # compares its graphs
