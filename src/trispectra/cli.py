@@ -21,7 +21,7 @@ from .errors import (
 )
 from .graph import builtin_graph, format_edge_list, parse_edge_list
 from .iterated import pseudofractal_metrics
-from .metrics import compute_metrics
+from .metrics import INDICES, compute_metrics
 from .spectral import eigendecompose, lift_eigenvalues
 from .triangulation import new_node_generator, predicted_counts, q_triangulate
 
@@ -144,23 +144,14 @@ def cmd_metrics(args, out) -> int:
         }
         for route, rep in (("spectral", spectral_report), ("oracle", oracle_report)):
             payload["routes"][route] = {
-                "kemeny": rep.kemeny,
-                "kirchhoff": rep.kirchhoff,
-                "additive": rep.additive,
-                "multiplicative": rep.multiplicative,
-                "hitting": rep.hitting,
-                "resistance": rep.resistance,
+                name: getattr(rep, name) for name in (*INDICES, "hitting", "resistance")
             }
         _write_json(payload, out)
     else:
         out.write(f"graph: n={g.n} m={g.m}\n")
         for route, rep in (("spectral", spectral_report), ("oracle", oracle_report)):
-            out.write(
-                f"{route:>8}: kemeny {_f12(rep.kemeny)}  "
-                f"kirchhoff {_f12(rep.kirchhoff)}  "
-                f"additive {_f12(rep.additive)}  "
-                f"multiplicative {_f12(rep.multiplicative)}\n"
-            )
+            values = "  ".join(f"{name} {_f12(getattr(rep, name))}" for name in INDICES)
+            out.write(f"{route:>8}: {values}\n")
         out.write(f"max spectral/oracle deviation: {_f12(max_dev)}\n")
         out.write(f"foster check: sum over edges r = {_f12(foster)}\n")
     return EXIT_OK

@@ -1,5 +1,6 @@
-"""Exception hierarchy shared by all modules, and the validators of q,
-k and node indices."""
+"""Exception hierarchy shared by all modules; ``is_integer``, the one
+test of an integer argument; and the validators of q, k and node
+indices built on it."""
 
 from numbers import Integral
 
@@ -40,11 +41,16 @@ class InvalidQError(TrispectraError):
     """q-triangulation parameter must be a positive integer."""
 
 
+def is_integer(x) -> bool:
+    """True iff x is an integer (numpy integers included) and not a bool."""
+    return isinstance(x, Integral) and not isinstance(x, bool)
+
+
 def check_q(q) -> int:
     """q as a Python int; raise InvalidQError unless q is a positive
     integer.  numpy integers are accepted, and converted so that exact
     powers such as (4q+2)^k cannot overflow; bools are rejected."""
-    if isinstance(q, bool) or not isinstance(q, Integral) or q < 1:
+    if not is_integer(q) or q < 1:
         raise InvalidQError(f"q must be a positive integer, got {q!r}")
     return int(q)
 
@@ -56,14 +62,14 @@ class InvalidKError(TrispectraError):
 def check_k(k) -> int:
     """k as a Python int; raise InvalidKError unless k is a non-negative
     integer.  numpy integers are accepted; bools are rejected."""
-    if isinstance(k, bool) or not isinstance(k, Integral) or k < 0:
+    if not is_integer(k) or k < 0:
         raise InvalidKError(f"iteration count must be a non-negative integer, got {k!r}")
     return int(k)
 
 
 def is_index(x, top: int) -> bool:
     """True iff x is an integer (not a bool) in 1..top."""
-    return isinstance(x, Integral) and not isinstance(x, bool) and 1 <= x <= top
+    return is_integer(x) and 1 <= x <= top
 
 
 class FloatOverflowError(TrispectraError):

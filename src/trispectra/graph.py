@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from numbers import Integral
 from operator import index
 
 import numpy as np
@@ -22,6 +21,7 @@ from .errors import (
     EmptyGraphError,
     GraphError,
     SelfLoopError,
+    is_integer,
 )
 
 
@@ -115,7 +115,7 @@ class Graph:
 def _count(x, what: str) -> int:
     """x as a Python int; GraphError naming ``what`` unless x is an
     integer.  numpy integers are accepted; bools are rejected."""
-    if isinstance(x, bool) or not isinstance(x, Integral):
+    if not is_integer(x):
         raise GraphError(f"{what} must be an integer, got {x!r}")
     return int(x)
 
@@ -171,21 +171,11 @@ def build_graph(n: int, edges) -> Graph:
     return g
 
 
-def is_bipartite(g: Graph):
-    """BFS 2-coloring test.
-
-    Returns
-    -------
-    (flag, parts)
-        ``flag`` is True iff a proper 2-coloring exists, in which case
-        ``parts`` is a pair of frozensets (V1, V2) with node 1 in V1;
-        otherwise ``parts`` is None.
-    """
+def is_bipartite(g: Graph) -> bool:
+    """True iff g has a proper 2-colouring, read off the BFS colouring
+    ``g._colours``: no edge joins two nodes of one colour."""
     colour = g._colours
-    if (colour[g._ends[:, 0]] == colour[g._ends[:, 1]]).any():
-        return False, None
-    v1, v2 = (frozenset((np.flatnonzero(colour == c) + 1).tolist()) for c in (0, 1))
-    return True, (v1, v2)
+    return bool((colour[g._ends[:, 0]] != colour[g._ends[:, 1]]).all())
 
 
 # ---- edge-list text format -------------------------------------------

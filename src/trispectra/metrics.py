@@ -19,6 +19,9 @@ from .errors import GraphError, TrispectraError, is_index
 from .graph import Graph
 from .spectral import Spectrum, _gated_inverse, eigendecompose
 
+#: the four scalar indices of a GraphSummary, in its field order
+INDICES = ("kemeny", "kirchhoff", "additive", "multiplicative")
+
 
 @dataclass(frozen=True, eq=False)
 class GraphSummary:

@@ -79,13 +79,6 @@ def eigendecompose(g: Graph) -> Spectrum:
     return Spectrum(eigenvalues=vals, eigenvectors=vecs, graph=g)
 
 
-def _incidence_rank(g: Graph):
-    """(bipartite, rank B): rank B = n - 1 on a bipartite G, whose +-1
-    colouring vector spans B's left kernel, and n otherwise."""
-    bipartite, _ = is_bipartite(g)
-    return bipartite, g.n - bipartite
-
-
 def _qr_kernel(a: np.ndarray, rank: int) -> np.ndarray:
     """Orthonormal basis of ker(a), whose first ``rank`` rows span its rows:
     the trailing columns of a complete QR of a[:rank]^T.  Any n - 1 rows of
@@ -99,13 +92,13 @@ def kernel_basis(g: Graph, q: int) -> np.ndarray:
     """Orthonormal basis of ker(C), C = q horizontal copies of B.
 
     C = 1_q^T (x) B, so ker C = (ker 1_q^T (x) I_m) + (1_q/sqrt(q) (x) ker B).
-    Rank B comes from the 2-colouring and both kernels from a QR.  Returns
+    Rank B is n - [G bipartite] and both kernels come from a QR.  Returns
     an (m*q) x (m*q - rank B) matrix whose columns y satisfy
     ||C y|| = sqrt(q) ||B N|| <= 1e-10, N the basis of ker B.
     """
     q = check_q(q)
     b = g.incidence_matrix().astype(float)
-    null_b = _qr_kernel(b, _incidence_rank(g)[1])
+    null_b = _qr_kernel(b, g.n - is_bipartite(g))
     if null_b.size:
         _gate(np.sqrt(q) * np.linalg.norm(b @ null_b, axis=0).max(), 1e-10, "ker B")
     return np.hstack([
@@ -118,22 +111,24 @@ def _lifted_values(spec: Spectrum, q: int):
     """(eigenvalues, branches, order, numer, sqrt_delta) of the lift to
     R_q(G), q already checked.
 
-    Unsorted, the values follow lift_spectrum's column layout: each input
-    eigenvalue's plus root, then its minus root, then the m*q - rank B
-    zeros of ker C, then the bipartite special -1/(q+1).  ``order`` is
-    their stable descending argsort, and eigenvalues and branches come
-    sorted by it.  ``numer``, shape (2, rank B), holds the roots'
-    numerators lambda +- sqrt(Delta), which the branch eigenvectors reuse
-    with ``sqrt_delta``.
+    Unsorted, the values follow lift_spectrum's column layout in blocks:
+    the plus roots of the first rank B = n - [G bipartite] input
+    eigenvalues, then their minus roots, each block in G's order, then
+    the m*q - rank B zeros of ker C, then the bipartite special -1/(q+1).
+    ``order`` is their stable descending argsort, and eigenvalues and
+    branches come sorted by it.  ``numer``, shape (2, rank B), holds the
+    roots' numerators lambda +- sqrt(Delta), which the branch
+    eigenvectors reuse with ``sqrt_delta``.
     """
     g = spec.graph
-    bipartite, n_branch = _incidence_rank(g)
+    bipartite = is_bipartite(g)
+    n_branch = g.n - bipartite
     lam = spec.eigenvalues[:n_branch]
     sqrt_delta = np.sqrt(lam ** 2 + 2 * q * (q + 1) * (1 + lam))
     numer = lam + np.array([[1.0], [-1.0]]) * sqrt_delta
     zeros = g.m * q - n_branch
-    vals = [(numer / (2.0 * (q + 1))).T.ravel(), np.zeros(zeros)]
-    branches = ["plus", "minus"] * n_branch + ["zero"] * zeros
+    vals = [(numer / (2.0 * (q + 1))).ravel(), np.zeros(zeros)]
+    branches = ["plus"] * n_branch + ["minus"] * n_branch + ["zero"] * zeros
     if bipartite:
         vals.append([-1.0 / (q + 1)])
         branches.append("bipartite-special")
@@ -169,25 +164,20 @@ def lift_spectrum(spec: Spectrum, q: int) -> Spectrum:
     """
     q, g = check_q(q), spec.graph
     n, m = g.n, g.m
+    bipartite = is_bipartite(g)
+    n_branch = n - bipartite
     vals, _, order, numer, sqrt_delta = _lifted_values(spec, q)
-    n_branch = len(sqrt_delta)
 
     lam = spec.eigenvalues[:n_branch]
     v = spec.eigenvectors[:, :n_branch]
     w = (g.incidence_matrix().T / np.sqrt(g.degrees)[None, :]) @ v
-    vecs = []
+    cols = []  # in _lifted_values's column layout
     for sign, denom in zip((1.0, -1.0), numer):
         new_block = (np.sqrt(2.0 * (q + 1)) / denom) * w
         scale = np.sqrt(0.5 + sign * lam / (2.0 * sqrt_delta))
-        vecs.append(scale * np.vstack([v] + [new_block] * q))
-
-    zeros = m * q - n_branch
-    # in _lifted_values's column layout
-    cols = [
-        np.stack(vecs, axis=2).reshape(-1, 2 * n_branch),
-        np.vstack([np.zeros((n, zeros)), kernel_basis(g, q)]),
-    ]
-    if n_branch < n:  # bipartite: rank B = n - 1
+        cols.append(scale * np.vstack([v] + [new_block] * q))
+    cols.append(np.vstack([np.zeros((n, m * q - n_branch)), kernel_basis(g, q)]))
+    if bipartite:
         special = np.concatenate([spec.eigenvectors[:, n - 1], np.zeros(m * q)])
         cols.append(special[:, None])
 
@@ -213,13 +203,14 @@ def kernel_sum_residual(spec: Spectrum, q: int) -> np.ndarray:
     the entry of its edge e from triangulation.new_node_generator.
     """
     q, g = check_q(q), spec.graph
-    bipartite, upper = _incidence_rank(g)
+    bipartite = is_bipartite(g)
     z = (1.0 - 2.0 * g._colours) / np.sqrt(g.n) if bipartite else np.zeros(g.n)
     signless = (g.adjacency_matrix() + np.diag(g.degrees)).astype(float)
     pinv = _gated_inverse(signless, np.outer(z, z), "signless Laplacian pseudoinverse Q^+")
     s, t = g._ends.T
     lhs = 1.0 - (pinv[s, s] + pinv[t, t] + 2.0 * pinv[s, t]) / q
 
+    upper = g.n - bipartite
     scaled = spec.eigenvectors[:, 1:upper] / np.sqrt(g.degrees)[:, None]
     term = scaled[s] + scaled[t]
     lam = spec.eigenvalues[1:upper]

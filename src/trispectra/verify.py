@@ -15,12 +15,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Integral
+from numbers import Real
 
 import numpy as np
 
 from . import iterated, metrics, spectral, transfer
-from .errors import DisconnectedError, TrispectraError, check_k, check_q
+from .errors import DisconnectedError, TrispectraError, check_k, check_q, is_integer
 from .graph import Graph, build_graph, complete_graph, is_bipartite, path_graph
 from .triangulation import q_triangulate
 
@@ -115,7 +115,7 @@ def random_connected_graph(rng, nmax: int, bipartite: bool) -> Graph:
             g = build_graph(n, edges)
         except DisconnectedError:
             continue
-        if is_bipartite(g)[0] == bipartite:
+        if is_bipartite(g) == bipartite:
             return g
 
 
@@ -124,12 +124,15 @@ def make_corpus(seed: int, trials: int, nmax: int, qmax: int,
     """Deterministic list of (graph, q) trial cases; at least
     ``bipartite_fraction`` of the graphs are bipartite by construction.
     Raises TrispectraError unless seed, trials and nmax are integers (not
-    bools) with seed >= 0, trials >= 1 and nmax >= 3, and qmax is a valid q."""
+    bools) with seed >= 0, trials >= 1 and nmax >= 3, qmax is a valid q
+    and bipartite_fraction is a real number (not a bool) in [0, 1]."""
     qmax = check_q(qmax)
-    if not all(isinstance(v, Integral) and not isinstance(v, bool) and v >= low
-               for v, low in ((seed, 0), (trials, 1), (nmax, 3))):
+    if not all(is_integer(v) and v >= low for v, low in ((seed, 0), (trials, 1), (nmax, 3))):
         raise TrispectraError(f"corpus needs integers seed >= 0, trials >= 1 and nmax >= 3, "
                               f"got seed={seed!r}, trials={trials!r}, nmax={nmax!r}")
+    frac = bipartite_fraction
+    if not (isinstance(frac, Real) and not isinstance(frac, bool) and 0 <= frac <= 1):
+        raise TrispectraError(f"bipartite_fraction must be a real number in [0, 1], got {frac!r}")
     rng = np.random.default_rng(seed)
     cases = []
     for trial in range(trials):
@@ -175,28 +178,24 @@ def transfer_checks(g: Graph, q: int) -> list:
     summ = transfer.GraphSummary.from_graph(g)
     tri = q_triangulate(g, q)
     rep = metrics.compute_metrics(tri.result, "oracle")
-    hit, res = rep.hitting, rep.resistance
-    hit_t, res_t = transfer.transfer_hitting, transfer.transfer_resistance
-    n = g.n
+    res, n = rep.resistance, g.n
+    routes = {"hit": (transfer.transfer_hitting, rep.hitting),
+              "res": (transfer.transfer_resistance, res)}
     # old nodes 1 and 2 (build_graph guarantees m >= 1), copy 1 of edge 1
     # and copy q of edge m: two new nodes unless m = q = 1
     x1, x2 = tri.new_node_index(1, 1), tri.new_node_index(g.m, q)
-    rows = [
-        ("hit old/old", hit_t(q, summ, 1, 2), hit[0, 1]),
-        ("res old/old", res_t(q, summ, 1, 2), res[0, 1]),
-        ("hit new/old", hit_t(q, summ, x1, 2), hit[x1 - 1, 1]),
-        ("hit old/new", hit_t(q, summ, 2, x1), hit[1, x1 - 1]),
-        ("res new/old", res_t(q, summ, x1, 2), res[x1 - 1, 1]),
+    pairs = [
+        ("hit old/old", 1, 2), ("res old/old", 1, 2),
+        ("hit new/old", x1, 2), ("hit old/new", 2, x1), ("res new/old", x1, 2),
+        ("hit new/new", x1, x2), ("hit new/new reverse", x2, x1), ("res new/new", x1, x2),
     ]
-    if x1 != x2:
-        rows += [
-            ("hit new/new", hit_t(q, summ, x1, x2), hit[x1 - 1, x2 - 1]),
-            ("hit new/new reverse", hit_t(q, summ, x2, x1), hit[x2 - 1, x1 - 1]),
-            ("res new/new", res_t(q, summ, x1, x2), res[x1 - 1, x2 - 1]),
-        ]
+    rows = []
+    for kind, a, b in pairs:
+        if a != b:
+            formula, matrix = routes[kind[:3]]
+            rows.append((kind, formula(q, summ, a, b), matrix[a - 1, b - 1]))
     nxt = transfer.transferred_summary(q, summ)
-    rows += [(name, getattr(nxt, name), getattr(rep, name))
-             for name in ("kemeny", "kirchhoff", "additive", "multiplicative")]
+    rows += [(name, getattr(nxt, name), getattr(rep, name)) for name in metrics.INDICES]
     rows += [
         ("cross sum", transfer.new_old_resistance_sum(q, summ), res[n:, :n].sum()),
         ("new-pair sum", transfer.new_pair_resistance_sum(q, summ),
@@ -239,10 +238,6 @@ def suite_identities(cases, tol: float):
     return SuiteResult("identity-suite", tol, checks)
 
 
-#: the summary fields that the iterated closed forms produce
-_INDICES = ("kemeny", "multiplicative", "additive", "kirchhoff")
-
-
 def suite_telescoping(qmax: int = 3, kmax: int = 6,
                       tol: float = DEFAULT_TOLERANCES["iter"]):
     """Iterated closed forms vs k-fold chained single-step transfers,
@@ -268,14 +263,15 @@ def suite_telescoping(qmax: int = 3, kmax: int = 6,
             chain = base
             float_chain = transfer.GraphSummary(
                 n=base.n, m=base.m,
-                **{name: float(getattr(base, name)) for name in _INDICES},
+                **{name: float(getattr(base, name)) for name in metrics.INDICES},
             )
             for k in range(kmax + 1):
-                closed = [getattr(iterated, f"iterated_{name}")(base, q, k) for name in _INDICES]
+                closed = [getattr(iterated, f"iterated_{name}")(base, q, k)
+                          for name in metrics.INDICES]
                 for label, chained in (("exact", chain), ("float", float_chain)):
                     checks += [
                         Check(f"{label} {name}", got, getattr(chained, name), (g, q, k))
-                        for name, got in zip(_INDICES, closed)
+                        for name, got in zip(metrics.INDICES, closed)
                     ]
                 chain = transfer.transferred_summary(q, chain)
                 float_chain = transfer.transferred_summary(q, float_chain)

@@ -132,12 +132,11 @@ def test_degree_sum_is_2m(small_corpus):
 
 
 def test_bipartite_detection():
-    assert is_bipartite(build_graph(2, [(1, 2)])) == (
-        True, (frozenset({1}), frozenset({2}))
-    )
-    flag, parts = is_bipartite(cycle_graph(4))
-    assert flag and set(map(frozenset, parts)) == {frozenset({1, 3}), frozenset({2, 4})}
-    assert is_bipartite(complete_graph(3))[0] is False
+    # the flag alone; the parts are the 2-colouring, node 1 coloured 0
+    k2, c4 = build_graph(2, [(1, 2)]), cycle_graph(4)
+    assert is_bipartite(k2) is True and k2._colours.tolist() == [0, 1]
+    assert is_bipartite(c4) is True and c4._colours.tolist() == [0, 1, 0, 1]
+    assert is_bipartite(complete_graph(3)) is False
 
 
 def test_incidence_identity(small_corpus):
@@ -155,7 +154,7 @@ def test_incidence_rank_bipartiteness(small_corpus):
         b = g.incidence_matrix().astype(float)
         svals = np.linalg.svd(b, compute_uv=False)
         rank = int(np.sum(svals > 1e-9 * svals[0]))
-        expected = g.n - 1 if is_bipartite(g)[0] else g.n
+        expected = g.n - 1 if is_bipartite(g) else g.n
         assert rank == expected
 
 
@@ -227,7 +226,8 @@ def test_builtin_graphs():
 
 def _check_against_networkx(nx, n, edges):
     """build_graph's connectivity verdict, the unreached node it names,
-    and is_bipartite's verdict and parts, against networkx."""
+    and is_bipartite's verdict, against networkx; on a bipartite graph
+    also the 2-colouring ``_colours`` that kernel_sum_residual reads."""
     ref = nx.Graph()
     ref.add_nodes_from(range(1, n + 1))
     ref.add_edges_from(edges)
@@ -236,12 +236,12 @@ def _check_against_networkx(nx, n, edges):
         with pytest.raises(DisconnectedError, match=f": node {lowest} unreachable from node 1$"):
             build_graph(n, edges)
         return False
-    flag, parts = is_bipartite(build_graph(n, edges))
+    g = build_graph(n, edges)
+    flag = is_bipartite(g)
     assert flag == nx.is_bipartite(ref)
     if flag:
         colour = nx.bipartite.color(ref)
-        assert parts[0] == {v for v in ref if colour[v] == colour[1]}
-        assert parts[1] == {v for v in ref if colour[v] != colour[1]}
+        assert g._colours.tolist() == [int(colour[v] != colour[1]) for v in range(1, n + 1)]
     return True
 
 

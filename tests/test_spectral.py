@@ -50,7 +50,7 @@ def test_spectrum_invariants(small_corpus):
         expected = np.sqrt(g.degrees / (2.0 * g.m))
         assert np.abs(vecs[:, 0] - expected).max() < 1e-10
         # minimum eigenvalue hits -1 exactly when bipartite
-        assert (abs(vals[-1] + 1.0) < 1e-10) == is_bipartite(g)[0]
+        assert (abs(vals[-1] + 1.0) < 1e-10) == is_bipartite(g)
 
 
 def test_kernel_basis_dimensions():
@@ -81,7 +81,7 @@ def test_kernel_basis_properties(small_corpus, acceptance_corpus):
     cases += [(complete_graph(2), q) for q in (1, 2, 3)]
     for g, q in cases:
         basis = kernel_basis(g, q)
-        dim = g.m * q - g.n + (1 if is_bipartite(g)[0] else 0)
+        dim = g.m * q - g.n + (1 if is_bipartite(g) else 0)
         assert basis.shape == (g.m * q, dim)
         assert np.abs(basis.T @ basis - np.eye(dim)).max(initial=0.0) < 1e-10
         c = np.hstack([g.incidence_matrix().astype(float)] * q)
@@ -139,7 +139,7 @@ def test_lift_full_properties(small_corpus):
             p @ u - u * lifted.eigenvalues, axis=0
         ).max()
         assert resid < 1e-9 * r.n
-        bip = is_bipartite(g)[0]
+        bip = is_bipartite(g)
         branches = lift_eigenvalues(spec, q)[1]
         assert branches.count("zero") == g.m * q - g.n + (1 if bip else 0)
         assert branches.count("bipartite-special") == (1 if bip else 0)
@@ -183,7 +183,7 @@ def test_lift_eigenvalue_branch_labels(acceptance_corpus):
         assert len(zeros) == g.m * q - rank
         assert np.all(zeros == 0.0) and not np.signbit(zeros).any()
         special = by.get("bipartite-special", np.zeros(0))
-        assert special.tolist() == ([-1.0 / (q + 1)] if is_bipartite(g)[0] else [])
+        assert special.tolist() == ([-1.0 / (q + 1)] if is_bipartite(g) else [])
         assert set(branches) <= {"plus", "minus", "zero", "bipartite-special"}
 
 
@@ -257,7 +257,7 @@ def test_kernel_sum_identity_random(small_corpus):
 def _identity_rhs(g, q, spec):
     """1 - 1/(mq) minus the spectral sum of the kernel-sum identity, one
     entry per generator edge of G."""
-    upper = g.n - 1 if is_bipartite(g)[0] else g.n
+    upper = g.n - 1 if is_bipartite(g) else g.n
     scaled = spec.eigenvectors[:, 1:upper] / np.sqrt(g.degrees)[:, None]
     ends = np.array(g.edges) - 1
     term = scaled[ends[:, 0]] + scaled[ends[:, 1]]

@@ -1,5 +1,6 @@
 import sys
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ def test_graph_suites_do_only_the_dense_work_they_read(monkeypatch, acceptance_c
     # one spectrum of G for the lift and one each of G and R_q(G) for the
     # identities; R_q(G) is built without build_graph; no SVD runs, and
     # the only kernels are kernel_basis's two QRs, in the lift
-    case = next(c for c in acceptance_corpus if is_bipartite(c[0])[0] == bipartite)
+    case = next(c for c in acceptance_corpus if is_bipartite(c[0]) == bipartite)
     calls = Counter()
     names = ("eigendecompose", "build_graph", "_qr_kernel", "svd")
     for owner, name in zip((spectral, graph, spectral, np.linalg), names):
@@ -43,3 +44,18 @@ def test_graph_suites_do_only_the_dense_work_they_read(monkeypatch, acceptance_c
 def test_make_corpus_needs_integer_counts(trials, nmax):
     with pytest.raises(TrispectraError, match="corpus needs integers"):
         verify.make_corpus(7, trials, nmax, 2)
+
+
+@pytest.mark.parametrize("fraction", ["x", float("nan"), 2, -0.1, 1.5, True, None, 0.5j],
+                         ids=["str", "nan", "two", "negative", "above-one", "bool", "none",
+                              "complex"])
+def test_make_corpus_needs_a_fraction_in_unit_interval(fraction):
+    with pytest.raises(TrispectraError, match=r"fraction must be a real number in \[0, 1\]"):
+        verify.make_corpus(1, 5, 5, 2, bipartite_fraction=fraction)
+
+
+def test_make_corpus_takes_a_real_fraction_in_unit_interval():
+    assert sum(is_bipartite(g) for g, _ in verify.make_corpus(1, 5, 5, 2, 1)) == 5
+    half = verify.make_corpus(1, 6, 5, 2, 0.5)
+    assert verify.make_corpus(1, 6, 5, 2, Fraction(1, 2)) == half
+    assert verify.make_corpus(1, 6, 5, 2, np.float64(0.5)) == half
