@@ -20,7 +20,7 @@ from .errors import (
     ConvergenceFailure, EdgeListParseError, SingularSystemError, TrispectraError, check_k,
 )
 from .graph import builtin_graph, format_edge_list, parse_edge_list
-from .iterated import pseudofractal_metrics
+from .iterated import PSEUDOFRACTAL_ORDER, pseudofractal_metrics
 from .metrics import INDICES, compute_metrics
 from .spectral import eigendecompose, lift_eigenvalues
 from .triangulation import new_node_generator, predicted_counts, q_triangulate
@@ -197,7 +197,7 @@ def cmd_verify(args, out) -> int:
         status = "pass" if r.passed else "FAIL"
         out.write(
             f"[{status}] {r.name}: max deviation {r.max_deviation:.3e} "
-            f"(tol {r.tolerance:.1e}, {r.cases} checks)\n"
+            f"(tol {r.tolerance:.1e}, {len(r.checks)} checks)\n"
         )
         if not r.passed:
             out.write(f"       worst case: {r.worst_case}\n")
@@ -214,10 +214,8 @@ def cmd_pseudofractal(args, out) -> int:
                 f"values at k={k} exceed the float range; use --kmax {k - 1} or less"
             ) from None
         rows.append((k, *predicted_counts(3, 3, args.q, k), *values))
-    names, widths = zip(
-        ("k", 3), ("n", 10), ("m", 10), ("kemeny", 18),
-        ("multiplicative", 18), ("additive", 18), ("kirchhoff", 18),
-    )
+    names = ("k", "n", "m", *PSEUDOFRACTAL_ORDER)
+    widths = (3, 10, 10) + (18,) * len(PSEUDOFRACTAL_ORDER)
     if args.format == "json":
         _write_json([dict(zip(names, row)) for row in rows], out)
         return EXIT_OK

@@ -159,6 +159,10 @@ def build_graph(n: int, edges) -> Graph:
             raise DuplicateEdgeError(f"duplicate edge {e}")
         seen.add(e)
         canon.append(e)
+    if len(canon) < n - 1:  # caught before anything of size n is allocated
+        raise DisconnectedError(
+            f"graph is disconnected: {n} nodes need at least {n - 1} edges, got {len(canon)}"
+        )
     canon.sort()
     g = Graph(n=n, edges=tuple(canon))
     unreached = np.flatnonzero(g._colours < 0)

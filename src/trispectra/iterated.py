@@ -148,8 +148,7 @@ def iterated_kirchhoff(summary: GraphSummary, q: int, k: int):
 
 # ---- pseudofractal scale-free webs (iterated triangulation of K3) ----
 
-#: exact base quantities of the triangle: (Kemeny, multiplicative,
-#: additive, Kirchhoff)
+#: the triangle's exact GraphSummary, the base of every pseudofractal web
 TRIANGLE_BASE = GraphSummary(
     n=3,
     m=3,
@@ -159,10 +158,13 @@ TRIANGLE_BASE = GraphSummary(
     multiplicative=Fraction(8),
 )
 
+#: the order of the values pseudofractal_metrics returns
+PSEUDOFRACTAL_ORDER = ("kemeny", "multiplicative", "additive", "kirchhoff")
+
 
 def pseudofractal_metrics(q: int, k: int):
-    """(Kemeny, multiplicative, additive, Kirchhoff) of the k-th
-    pseudofractal web built with parameter q, as exact Fractions.
+    """The indices of the k-th pseudofractal web built with parameter q,
+    in PSEUDOFRACTAL_ORDER, as exact Fractions.
 
     Kemeny, additive and Kirchhoff are each one integer numerator over
     L = 24(2q+1)^2(2q+5)(q+2)^k, so each is normalised by one gcd, not by

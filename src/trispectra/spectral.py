@@ -5,8 +5,8 @@ The lift works entirely from the spectrum of G: for each eigenvalue
 lambda of P(G) define Delta = lambda^2 + 2q(q+1)(1+lambda); then
 (lambda +- sqrt(Delta)) / (2(q+1)) are eigenvalues of P(R_q(G)), the
 remaining spectrum being zeros carried by the kernel of C = [B ... B]
-(q horizontal copies of the incidence matrix) and, for bipartite G, a
-single extra eigenvalue -1/(q+1).
+(q horizontal copies of the incidence matrix) and -1/(q+1) for each
+input eigenvalue beyond rank B (one on a bipartite G, none otherwise).
 """
 
 from __future__ import annotations
@@ -99,41 +99,37 @@ def kernel_basis(g: Graph, q: int) -> np.ndarray:
     q = check_q(q)
     b = g.incidence_matrix().astype(float)
     null_b = _qr_kernel(b, g.n - is_bipartite(g))
-    if null_b.size:
-        _gate(np.sqrt(q) * np.linalg.norm(b @ null_b, axis=0).max(), 1e-10, "ker B")
+    _gate(np.sqrt(q) * np.linalg.norm(b @ null_b, axis=0).max(initial=0.0), 1e-10, "ker B")
     return np.hstack([
         np.kron(_qr_kernel(np.ones((1, q)), 1), np.eye(g.m)),
         np.kron(np.full((q, 1), 1.0 / np.sqrt(q)), null_b),
     ])
 
 
-def _lifted_values(spec: Spectrum, q: int):
+def _lifted_values(eigenvalues, n: int, m: int, bipartite: bool, q: int):
     """(eigenvalues, branches, order, numer, sqrt_delta) of the lift to
-    R_q(G), q already checked.
+    R_q(G) from G's descending eigenvalues, n, m and bipartite flag, q
+    already checked.
 
     Unsorted, the values follow lift_spectrum's column layout in blocks:
     the plus roots of the first rank B = n - [G bipartite] input
     eigenvalues, then their minus roots, each block in G's order, then
-    the m*q - rank B zeros of ker C, then the bipartite special -1/(q+1).
-    ``order`` is their stable descending argsort, and eigenvalues and
-    branches come sorted by it.  ``numer``, shape (2, rank B), holds the
-    roots' numerators lambda +- sqrt(Delta), which the branch
-    eigenvectors reuse with ``sqrt_delta``.
+    the m*q - rank B zeros of ker C, then a "bipartite-special" -1/(q+1)
+    for each input eigenvalue left over (one on a bipartite G, none
+    otherwise).  ``order`` is their stable descending argsort, and
+    eigenvalues and branches come sorted by it.  ``numer``, shape
+    (2, rank B), holds the roots' numerators lambda +- sqrt(Delta), which
+    the branch eigenvectors reuse with ``sqrt_delta``.
     """
-    g = spec.graph
-    bipartite = is_bipartite(g)
-    n_branch = g.n - bipartite
-    lam = spec.eigenvalues[:n_branch]
+    rank = n - bipartite
+    lam = eigenvalues[:rank]
     sqrt_delta = np.sqrt(lam ** 2 + 2 * q * (q + 1) * (1 + lam))
     numer = lam + np.array([[1.0], [-1.0]]) * sqrt_delta
-    zeros = g.m * q - n_branch
-    vals = [(numer / (2.0 * (q + 1))).ravel(), np.zeros(zeros)]
-    branches = ["plus"] * n_branch + ["minus"] * n_branch + ["zero"] * zeros
-    if bipartite:
-        vals.append([-1.0 / (q + 1)])
-        branches.append("bipartite-special")
-
-    vals = np.concatenate(vals)
+    zeros = m * q - rank
+    vals = np.concatenate([(numer / (2.0 * (q + 1))).ravel(), np.zeros(zeros),
+                           np.full(n - rank, -1.0 / (q + 1))])
+    branches = (["plus"] * rank + ["minus"] * rank + ["zero"] * zeros
+                + ["bipartite-special"] * (n - rank))
     order = np.argsort(-vals, kind="stable")
     vals = vals[order]
     vals.setflags(write=False)
@@ -144,13 +140,14 @@ def lift_eigenvalues(spec: Spectrum, q: int) -> tuple[np.ndarray, tuple]:
     """(eigenvalues, branches) of P(R_q(G)) from the eigenvalues of
     G = spec.graph alone, the eigenvalues equal to lift_spectrum's bit for
     bit; branch k is "plus" or "minus" (the root's sign), "zero" (ker C)
-    or "bipartite-special" (the lone -1/(q+1)).
+    or "bipartite-special" (-1/(q+1), one per eigenvalue beyond rank B).
 
     O(n + mq) work: no eigenvector matrix and no basis of ker C is built,
     so kernel_basis's ker B residual check does not run; the m*q - rank B
     zeros are counted from the 2-colouring, as in lift_spectrum.
     """
-    return _lifted_values(spec, check_q(q))[:2]
+    g = spec.graph
+    return _lifted_values(spec.eigenvalues, g.n, g.m, is_bipartite(g), check_q(q))[:2]
 
 
 def lift_spectrum(spec: Spectrum, q: int) -> Spectrum:
@@ -160,26 +157,26 @@ def lift_spectrum(spec: Spectrum, q: int) -> Spectrum:
     Branch eigenvectors follow the closed form: the old-node block is the
     scaled input eigenvector, the q new-node blocks are identical copies
     of sqrt(2(q+1)) / (lambda +- sqrt(Delta)) * B^T D^{-1/2} v, the whole
-    vector normalized by sqrt(1/2 +- lambda / (2 sqrt(Delta))).
+    vector normalized by sqrt(1/2 +- lambda / (2 sqrt(Delta))).  The input
+    eigenvectors beyond rank B (one on a bipartite G, none otherwise) are
+    kept on the old nodes and zero on the new.
     """
     q, g = check_q(q), spec.graph
     n, m = g.n, g.m
     bipartite = is_bipartite(g)
-    n_branch = n - bipartite
-    vals, _, order, numer, sqrt_delta = _lifted_values(spec, q)
+    rank = n - bipartite
+    vals, _, order, numer, sqrt_delta = _lifted_values(spec.eigenvalues, n, m, bipartite, q)
 
-    lam = spec.eigenvalues[:n_branch]
-    v = spec.eigenvectors[:, :n_branch]
+    lam = spec.eigenvalues[:rank]
+    v, leftover = np.hsplit(spec.eigenvectors, [rank])
     w = (g.incidence_matrix().T / np.sqrt(g.degrees)[None, :]) @ v
     cols = []  # in _lifted_values's column layout
     for sign, denom in zip((1.0, -1.0), numer):
         new_block = (np.sqrt(2.0 * (q + 1)) / denom) * w
         scale = np.sqrt(0.5 + sign * lam / (2.0 * sqrt_delta))
         cols.append(scale * np.vstack([v] + [new_block] * q))
-    cols.append(np.vstack([np.zeros((n, m * q - n_branch)), kernel_basis(g, q)]))
-    if bipartite:
-        special = np.concatenate([spec.eigenvectors[:, n - 1], np.zeros(m * q)])
-        cols.append(special[:, None])
+    cols.append(np.vstack([np.zeros((n, m * q - rank)), kernel_basis(g, q)]))
+    cols.append(np.vstack([leftover, np.zeros((m * q, n - rank))]))
 
     mat = _fix_signs(np.hstack(cols)[:, order])
     mat.setflags(write=False)
@@ -196,15 +193,16 @@ def kernel_sum_residual(spec: Spectrum, q: int) -> np.ndarray:
     node's generator edge {s, t}; it does not depend on the node's copy.
     (P_B)_ee = 1 - b_e^T Q^+ b_e with b_e = e_s + e_t, Q = B B^T = A + D
     the signless Laplacian and Q^+ = (Q + z z^T)^{-1} - z z^T, z the unit
-    +-1 vector of the 2-colouring on a bipartite G and 0 otherwise.  The
-    identity equates this with 1 - 1/(mq) minus a spectral sum over the
-    nontrivial eigenvalues of G, which is Q^+'s spectral form.  Returns
-    |LHS - RHS| of shape (m,), entry e - 1 for edge e; new node x reads
-    the entry of its edge e from triangulation.new_node_generator.
+    +-1 vector of the 2-colouring times [G bipartite], so 0 on a
+    non-bipartite G.  The identity equates this with 1 - 1/(mq) minus a
+    spectral sum over the nontrivial eigenvalues of G, which is Q^+'s
+    spectral form.  Returns |LHS - RHS| of shape (m,), entry e - 1 for
+    edge e; new node x reads the entry of its edge e from
+    triangulation.new_node_generator.
     """
     q, g = check_q(q), spec.graph
     bipartite = is_bipartite(g)
-    z = (1.0 - 2.0 * g._colours) / np.sqrt(g.n) if bipartite else np.zeros(g.n)
+    z = (1.0 - 2.0 * g._colours) / np.sqrt(g.n) * bipartite
     signless = (g.adjacency_matrix() + np.diag(g.degrees)).astype(float)
     pinv = _gated_inverse(signless, np.outer(z, z), "signless Laplacian pseudoinverse Q^+")
     s, t = g._ends.T

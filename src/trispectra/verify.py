@@ -69,10 +69,6 @@ class SuiteResult:
     checks: list
 
     @property
-    def cases(self) -> int:
-        return len(self.checks)
-
-    @property
     def _worst(self):
         return max(self.checks, key=lambda c: c.deviation, default=None)
 

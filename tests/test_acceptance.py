@@ -70,7 +70,7 @@ def test_criterion_spectrum_lift(acceptance_corpus):
         "criterion-2 spectrum lift",
         result.max_deviation,
         result.tolerance,
-        f"[{result.cases} checks]",
+        f"[{len(result.checks)} checks]",
     )
 
 
@@ -80,7 +80,7 @@ def test_criterion_transfer_equivalence(acceptance_corpus):
         "criterion-3 transfer vs oracle",
         result.max_deviation,
         result.tolerance,
-        f"[{result.cases} checks]",
+        f"[{len(result.checks)} checks]",
     )
 
 
@@ -90,7 +90,7 @@ def test_criterion_identities(acceptance_corpus):
         "criterion-4 identity suite",
         result.max_deviation,
         result.tolerance,
-        f"[{result.cases} checks]",
+        f"[{len(result.checks)} checks]",
     )
 
 
@@ -100,7 +100,7 @@ def test_criterion_iterated_telescoping():
         "criterion-5 iterated telescoping",
         result.max_deviation,
         result.tolerance,
-        f"[{result.cases} checks]",
+        f"[{len(result.checks)} checks]",
     )
 
 

@@ -16,7 +16,10 @@ import pytest
 from trispectra import cli, metrics, spectral, verify
 from trispectra.cli import _write_json, main
 from trispectra.errors import ConvergenceFailure, SingularSystemError
-from trispectra.graph import build_graph, complete_graph, cycle_graph, format_edge_list
+from trispectra.graph import (
+    EdgeListParseError, build_graph, complete_graph, cycle_graph, format_edge_list,
+    parse_edge_list,
+)
 from trispectra.iterated import pseudofractal_metrics
 from trispectra.metrics import compute_metrics
 from trispectra.spectral import eigendecompose, lift_eigenvalues, lift_spectrum
@@ -71,6 +74,38 @@ def test_triangulate_disconnected(tmp_path):
     bad.write_text("4 2\n1 2\n3 4\n")
     code, _ = run_cli(["metrics", "--input", str(bad)])
     assert code == 2
+
+
+def test_huge_node_count_header_is_input_error(tmp_path, capsys):
+    # reached np.full in the BFS colouring: a raw ValueError and exit 1
+    bad = tmp_path / "huge.edges"
+    bad.write_text(f"{10**20} 1\n1 2\n")
+    code, _ = run_cli(["metrics", "--input", str(bad)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: DisconnectedError: graph is disconnected: "
+        f"{10**20} nodes need at least {10**20 - 1} edges, got 1\n"
+    )
+
+
+@pytest.mark.parametrize("text, line_no, message", [
+    ("# header next\n3 2 1\n1 2\n2 3\n", 2, "expected header 'n m'"),
+    ("\n3\n1 2\n", 2, "expected header 'n m'"),
+    ("3 two\n1 2\n2 3\n", 1, "non-integer header"),
+    ("# only comments\n\n   # and blanks\n", 1, "empty input"),
+    ("", 1, "empty input"),
+    ("3 3\n1 2\n2 3\n", 1, "header declares 3 edges but 2 were given"),
+])
+def test_header_parse_errors(tmp_path, capsys, text, line_no, message):
+    with pytest.raises(EdgeListParseError) as info:
+        parse_edge_list(text)
+    assert info.value.line_no == line_no
+    assert str(info.value) == f"parse error line {line_no}: {message}"
+    bad = tmp_path / "bad.edges"
+    bad.write_text(text)
+    code, _ = run_cli(["metrics", "--input", str(bad)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: parse error line {line_no}: {message}\n"
 
 
 def test_metrics_out_of_range_endpoint(tmp_path, capsys):

@@ -42,8 +42,23 @@ def test_canonical_edge_order():
 
 
 def test_disconnected_rejected():
-    with pytest.raises(DisconnectedError):
-        build_graph(4, [(1, 2), (3, 4)])
+    for n, edges, reason in (
+        (4, [(1, 2), (3, 4)], "4 nodes need at least 3 edges, got 2"),
+        (5, [(1, 2), (1, 3), (2, 3), (4, 5)], "node 4 unreachable from node 1"),
+    ):
+        with pytest.raises(DisconnectedError) as info:
+            build_graph(n, edges)
+        assert str(info.value) == f"graph is disconnected: {reason}"
+
+
+def test_huge_node_count_is_disconnected_not_allocated():
+    # a node count past numpy's largest dimension reached np.full in the
+    # BFS colouring and raised a raw ValueError
+    with pytest.raises(DisconnectedError) as info:
+        build_graph(10**20, [(1, 2)])
+    assert str(info.value) == (
+        f"graph is disconnected: {10**20} nodes need at least {10**20 - 1} edges, got 1"
+    )
 
 
 def test_self_loop_rejected():
@@ -225,15 +240,20 @@ def test_builtin_graphs():
 
 
 def _check_against_networkx(nx, n, edges):
-    """build_graph's connectivity verdict, the unreached node it names,
-    and is_bipartite's verdict, against networkx; on a bipartite graph
-    also the 2-colouring ``_colours`` that kernel_sum_residual reads."""
+    """build_graph's connectivity verdict, its reason (too few edges for
+    n nodes, else the lowest unreached node), and is_bipartite's verdict,
+    against networkx; on a bipartite graph also the 2-colouring
+    ``_colours`` that kernel_sum_residual reads."""
     ref = nx.Graph()
     ref.add_nodes_from(range(1, n + 1))
     ref.add_edges_from(edges)
     if not nx.is_connected(ref):
-        lowest = min(set(ref) - nx.node_connected_component(ref, 1))
-        with pytest.raises(DisconnectedError, match=f": node {lowest} unreachable from node 1$"):
+        if len(edges) < n - 1:
+            reason = f"{n} nodes need at least {n - 1} edges, got {len(edges)}"
+        else:
+            lowest = min(set(ref) - nx.node_connected_component(ref, 1))
+            reason = f"node {lowest} unreachable from node 1"
+        with pytest.raises(DisconnectedError, match=f"^graph is disconnected: {reason}$"):
             build_graph(n, edges)
         return False
     g = build_graph(n, edges)

@@ -2,12 +2,15 @@
 only integer test, so ``numbers.Integral`` is named only in errors.py;
 and rank B = n - [G bipartite] is read from ``is_bipartite``'s flag, so
 no module defines ``_incidence_rank`` or subscripts or unpacks what
-``is_bipartite`` returns."""
+``is_bipartite`` returns.  The lift has one code path for both parities:
+the only conditional in spectral.py is ``_gate``'s, and ``_lifted_values``
+reads G as numbers (eigenvalues, n, m, bipartite, q), not as a Spectrum."""
 
 import ast
 from pathlib import Path
 
 import trispectra
+from trispectra import spectral
 
 
 def _name(node):
@@ -62,3 +65,53 @@ def test_each_decision_has_one_owner():
     found = [f"{path.stem}: {finding}" for path in modules
              for finding in _scan(path.read_text())]
     assert set(found) == {"errors: Integral"}
+
+
+_LIFTED_PARAMS = ["eigenvalues", "n", "m", "bipartite", "q"]
+
+
+def _scan_spectral(source: str) -> list:
+    """The findings in ``source`` for spectral.py: "if in <owner>" for
+    each ``if`` statement, conditional expression or comprehension filter
+    outside ``_gate``, <owner> the top-level definition around it, then
+    "_lifted_values <params>" unless exactly one top-level _lifted_values
+    takes exactly _LIFTED_PARAMS."""
+    tree = ast.parse(source)
+    found = []
+    for top in tree.body:
+        owner = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if owner != "_gate" and (isinstance(node, (ast.If, ast.IfExp))
+                                     or isinstance(node, ast.comprehension) and node.ifs):
+                found.append(f"if in {owner}")
+    params = [[a.arg for a in (*f.args.posonlyargs, *f.args.args, *f.args.kwonlyargs)]
+              for f in tree.body
+              if isinstance(f, ast.FunctionDef) and f.name == "_lifted_values"]
+    if params != [_LIFTED_PARAMS]:
+        found.append(f"_lifted_values {params}")
+    return found
+
+
+def test_spectral_guard_sees_each_finding():
+    lifted = "def _lifted_values(eigenvalues, n, m, bipartite, q):\n    pass\n"
+    gate = "def _gate(r, limit):\n    if not r <= limit:\n        raise ValueError\n"
+    assert _scan_spectral(gate + lifted) == []
+    assert _scan_spectral("def f(x):\n    if x:\n        pass\n" + lifted) == ["if in f"]
+    assert _scan_spectral("def f(x):\n    return 1 if x else 0\n" + lifted) == ["if in f"]
+    assert _scan_spectral("def f(x):\n    return [y for y in x if y]\n" + lifted) == ["if in f"]
+    assert _scan_spectral("def f(x):\n    return [y for y in x]\n" + lifted) == []
+    assert _scan_spectral("z = 0 if a else 1\n" + lifted) == ["if in <module>"]
+    assert _scan_spectral("class S:\n    def f(self, x):\n        if x:\n            pass\n"
+                          + lifted) == ["if in S"]
+    assert _scan_spectral("def _lifted_values(spec, q):\n    pass\n") == [
+        "_lifted_values [['spec', 'q']]",
+    ]
+    assert _scan_spectral("def _lifted_values(eigenvalues, n, m, q, *, bipartite):\n"
+                          "    pass\n") == [
+        "_lifted_values [['eigenvalues', 'n', 'm', 'q', 'bipartite']]",
+    ]
+    assert _scan_spectral("") == ["_lifted_values []"]
+
+
+def test_lift_has_one_code_path_for_both_parities():
+    assert _scan_spectral(Path(spectral.__file__).read_text()) == []
