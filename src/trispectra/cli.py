@@ -17,13 +17,13 @@ import numpy as np
 
 from . import verify
 from .errors import (
-    ConvergenceFailure, EdgeListParseError, SingularSystemError, TrispectraError, check_k,
+    ConvergenceFailure, EdgeListParseError, SingularSystemError, TrispectraError,
 )
 from .graph import builtin_graph, format_edge_list, parse_edge_list
-from .iterated import PSEUDOFRACTAL_ORDER, pseudofractal_metrics
+from .iterated import PSEUDOFRACTAL_ORDER, pseudofractal_rows
 from .metrics import INDICES, compute_metrics
 from .spectral import eigendecompose, lift_eigenvalues
-from .triangulation import new_node_generator, predicted_counts, q_triangulate
+from .triangulation import new_node_generator, q_triangulate
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -206,18 +206,18 @@ def cmd_verify(args, out) -> int:
 
 def cmd_pseudofractal(args, out) -> int:
     rows = []
-    for k in range(check_k(args.kmax) + 1):
-        try:
-            values = [float(x) for x in pseudofractal_metrics(args.q, k)]
-        except OverflowError:
-            raise CliInputError(
-                f"values at k={k} exceed the float range; use --kmax {k - 1} or less"
-            ) from None
-        rows.append((k, *predicted_counts(3, 3, args.q, k), *values))
+    try:
+        for row in pseudofractal_rows(args.q, args.kmax):
+            rows.append(row)
+    except OverflowError:
+        raise CliInputError(
+            f"values at k={len(rows)} exceed the float range; use --kmax {len(rows) - 1} or less"
+        ) from None
     names = ("k", "n", "m", *PSEUDOFRACTAL_ORDER)
     widths = (3, 10, 10) + (18,) * len(PSEUDOFRACTAL_ORDER)
-    if args.format == "json":
-        _write_json([dict(zip(names, row)) for row in rows], out)
+    if args.format == "json":  # json.dump(indent=2)'s bytes, each row by the C encoder
+        objects = (json.dumps(dict(zip(names, row)), separators=(",\n    ", ": ")) for row in rows)
+        out.write("[\n" + ",\n".join(f"  {{\n    {o[1:-1]}\n  }}" for o in objects) + "\n]\n")
         return EXIT_OK
     cells = [names] + [(*row[:3], *map(_f12, row[3:])) for row in rows]
     if args.format == "csv":

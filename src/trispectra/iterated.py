@@ -1,13 +1,16 @@
 """Closed forms for k-fold iterated q-triangulation graphs, plus the
 pseudofractal scale-free web specialization (iterates of the triangle).
 
-Same arithmetic convention as the single-step transfers: coefficients
-are Fractions, so exact-rational base summaries give exact results and
-float summaries give 64-bit floats.  At k = 0 every ratio power is 1,
-so each correction term vanishes and the base value comes back unchanged.
-The multiplicative index is 2m times Kemeny's constant on every connected
-graph, so it is derived from Kemeny's closed form, not written again (at
-k = 0 it gives the summary's 2m Kemeny).
+Each form is multiplied through by p, a power of its growth ratios'
+denominator, so every term is a big integer times a small-denominator
+Fraction, and the division by p at the end is the one normalisation per
+value.  Exact summaries give exact results; a float summary is evaluated
+exactly (a float is a Fraction) and rounded once to a float.  At k = 0
+every ratio power is 1, so each correction term vanishes and the base
+value comes back unchanged.  The multiplicative index is 2m times
+Kemeny's constant on every connected graph, so it is derived from
+Kemeny's closed form, not written again (at k = 0 it gives the summary's
+2m Kemeny).
 """
 
 from __future__ import annotations
@@ -17,54 +20,51 @@ import math
 from fractions import Fraction
 
 from .errors import FloatOverflowError, GraphError, check_k, check_q
-from .metrics import GraphSummary
+from .metrics import INDICES, GraphSummary
 
 
 def _float_range(closed_form):
-    """Validate q and k, and turn a float summary's way out of the float
-    range into FloatOverflowError naming the closed form, q and k: the
-    bare OverflowError of an exact coefficient too large for a float, or
-    a float result that is inf or NaN.  Exact summaries never raise it."""
+    """Validate q and k, round a float summary's exact result once to a
+    float, and turn its way out of the float range (a result too large
+    for a float, or a field read that is inf or NaN) into
+    FloatOverflowError naming the closed form, q and k."""
 
     @functools.wraps(closed_form)
     def wrapper(summary, q, k):
         q, k = check_q(q), check_k(k)
         try:
             value = closed_form(summary, q, k)
-            finite = not isinstance(value, float) or math.isfinite(value)
-        except OverflowError:
-            finite = False
-        if not finite:
+            if any(isinstance(getattr(summary, name), float) for name in INDICES):
+                value = float(value)
+        except (OverflowError, ValueError):  # Fraction(nan) is a ValueError
             raise FloatOverflowError(
                 f"{closed_form.__name__} at q={q}, k={k} exceeds the float range"
-            )
+            ) from None
         return value
 
     return wrapper
 
 
-def _growth_powers(q: int, k: int):
-    """The geometric ratios of the recurrences, each raised to k.  The
-    Kemeny and additive ratios are one ratio, (4q+2)/(q+2).  The
-    multiplicative ratio is that times the edge growth 2q+1, but is
-    raised on its own, since a * t would reduce by a big-integer gcd."""
-    a = Fraction(4 * q + 2, q + 2) ** k            # Kemeny and additive ratio
-    b = Fraction(2 * (2 * q + 1) ** 2, q + 2) ** k  # multiplicative ratio
-    e = Fraction(2, q + 2) ** k                     # Kirchhoff ratio
-    t = (2 * q + 1) ** k                            # edge growth
-    return a, b, e, t
+def _powers(q: int, k: int, *ratios: Fraction):
+    """t = (2q+1)^k, p = d^k with d the least common denominator of the
+    ratios, and each ratio^k times p, all integers (the multiplicative
+    ratio's is a t).  Each form passes the ratios it reads, so p is 1 when
+    they are integers, as Kemeny's is at q = 1; with p = (q+2)^k the one
+    gcd would be of two big ones."""
+    d = math.lcm(*(r.denominator for r in ratios))
+    return ((2 * q + 1) ** k, d**k, *(int(r * d) ** k for r in ratios))
 
 
 @_float_range
 def iterated_kemeny(summary: GraphSummary, q: int, k: int):
     """Kemeny's constant after k iterations."""
     n, m = summary.n, summary.m
-    a, _, _, t = _growth_powers(q, k)
+    t, p, a = _powers(q, k, Fraction(4 * q + 2, q + 2))
     return (
-        a * summary.kemeny
-        + Fraction(m * (2 * q + 3), 2 * (2 * q + 1)) * (t - a)
-        + (Fraction(q - 1, 3 * (2 * q + 1)) + Fraction(m - 2 * n, 6)) * (a - 1)
-    )
+        a * Fraction(summary.kemeny)
+        + Fraction(m * (2 * q + 3), 2 * (2 * q + 1)) * (t * p - a)
+        + (Fraction(q - 1, 3 * (2 * q + 1)) + Fraction(m - 2 * n, 6)) * (a - p)
+    ) / p
 
 
 @_float_range
@@ -88,53 +88,55 @@ def iterated_multiplicative(summary: GraphSummary, q: int, k: int):
 def iterated_additive(summary: GraphSummary, q: int, k: int):
     """Additive degree-Kirchhoff index after k iterations."""
     n, m = summary.n, summary.m
-    a, b, _, t = _growth_powers(q, k)
+    t, p, a = _powers(q, k, Fraction(4 * q + 2, q + 2))
+    tp = t * p
     return (
-        a * summary.additive
-        + (b - a)
+        a * Fraction(summary.additive)
+        + (a * t - a)
         * (
-            summary.multiplicative * Fraction(1, 2)
+            Fraction(summary.multiplicative) / 2
             - Fraction(
                 2 * (q + 2) * m * m + (2 * q + 1) * m * n - m * (q - 1),
                 3 * (2 * q + 1),
             )
         )
-        + (t * t - a)
+        + (t * tp - a)
         * Fraction(m * m * (2 * q + 3) * (6 * q + 11), 4 * (2 * q + 1) * (2 * q + 5))
-        + (a - t)
+        + (a - tp)
         * (
             Fraction(m, 2 * (2 * q + 1))
             + Fraction((q + 2) * m * (m - 2 * n + 1), 3 * (2 * q + 1))
         )
-        - (a - 1) * Fraction((m - 2 * n) * (m - 2 * n + 2), 12)
-    )
+        - (a - p) * Fraction((m - 2 * n) * (m - 2 * n + 2), 12)
+    ) / p
 
 
 @_float_range
 def iterated_kirchhoff(summary: GraphSummary, q: int, k: int):
     """Kirchhoff index after k iterations."""
     n, m = summary.n, summary.m
-    a, b, e, t = _growth_powers(q, k)
+    t, p, a, e = _powers(q, k, Fraction(4 * q + 2, q + 2), Fraction(2, q + 2))
+    tp = t * p
     return (
-        e * summary.kirchhoff
-        + (b - e)
+        e * Fraction(summary.kirchhoff)
+        + (a * t - e)
         * (
-            summary.multiplicative * Fraction(1, 16)
+            Fraction(summary.multiplicative) / 16
             - Fraction(m * m * (q + 2), 12 * (2 * q + 1))
             - Fraction(m * n, 24)
             + Fraction(m * (q - 1), 24 * (2 * q + 1))
         )
         + (a - e)
         * (
-            summary.additive * Fraction(1, 4)
-            - summary.multiplicative * Fraction(1, 8)
+            Fraction(summary.additive) / 4
+            - Fraction(summary.multiplicative) / 8
             - Fraction(m * m * (q + 2) * (2 * q - 1), 6 * (2 * q + 1) * (2 * q + 5))
             + Fraction(m * (2 * n * (q - 1) - q + 4), 12 * (2 * q + 1))
             - Fraction(n * (n - 1), 12)
         )
-        + (t * t - e)
+        + (t * tp - e)
         * Fraction(m * m * (2 * q + 3) ** 2, 8 * (2 * q + 1) * (2 * q + 5))
-        - (t - e)
+        - (tp - e)
         * (
             Fraction(
                 m * (4 * q * q + 12 * q + 11) * (m - 2 * n),
@@ -142,8 +144,8 @@ def iterated_kirchhoff(summary: GraphSummary, q: int, k: int):
             )
             + Fraction(m * (4 * q * q + 18 * q + 23), 12 * (2 * q + 1) * (2 * q + 5))
         )
-        + (e - 1) * Fraction((m - 2 * n) * (m - 2 * n + 2), 24)
-    )
+        + (e - p) * Fraction((m - 2 * n) * (m - 2 * n + 2), 24)
+    ) / p
 
 
 # ---- pseudofractal scale-free webs (iterated triangulation of K3) ----
@@ -162,27 +164,44 @@ TRIANGLE_BASE = GraphSummary(
 PSEUDOFRACTAL_ORDER = ("kemeny", "multiplicative", "additive", "kirchhoff")
 
 
-def pseudofractal_metrics(q: int, k: int):
-    """The indices of the k-th pseudofractal web built with parameter q,
-    in PSEUDOFRACTAL_ORDER, as exact Fractions.
-
-    Kemeny, additive and Kirchhoff are each one integer numerator over
-    L = 24(2q+1)^2(2q+5)(q+2)^k, so each is normalised by one gcd, not by
-    one per step of a Fraction chain.  That is cheaper up to k of about
-    1000; far beyond, one gcd of two big integers costs more than the
-    chain's gcds against small ones.  The ratio powers a, b, e of the
-    iterated forms share the denominator (q+2)^k; their numerators are
-    2^k t, 2^k t^2 and 2^k with t = (2q+1)^k.  t^(k-1), which is 1/(2q+1)
-    at k = 0, enters as t/(2q+1) over L's second factor 2q+1."""
-    q, k = check_q(q), check_k(k)
+def _pseudofractal_numerators(q: int, k: int, t: int, p: int):
+    """The common denominator L = 24(2q+1)^2(2q+5)(q+2)^k and the integer
+    numerators of Kemeny, additive and Kirchhoff over it, from
+    t = (2q+1)^k and p = (q+2)^k.  The ratio powers a, b, e of the
+    iterated forms share the denominator p; their numerators are 2^k t,
+    2^k t^2 and 2^k.  t^(k-1), which is 1/(2q+1) at k = 0, enters as
+    t/(2q+1) over L's second factor 2q+1."""
     u, v, w, c, d = 2 * q + 1, 2 * q + 5, 2 * q + 3, q + 4, 4 * q + 5
-    t, p = u**k, (q + 2) ** k
     tt, pt = t * t, p * t
     ptt, a, b, e = pt * t, t << k, tt << k, 1 << k
-    den = 24 * u * u * v * p
-    kem = Fraction(u * v * (36 * w * pt - 24 * c * a + 4 * d * p), den)
-    add = Fraction(54 * w * (6 * q + 11) * u * ptt - 72 * c * u * v * b + 72 * c * u * u * a
-                   + 12 * d * u * v * pt + 6 * u * u * v * p, den)
-    kir = Fraction(27 * w * w * u * ptt - 9 * c * u * v * b + 18 * c * u * u * a
-                   + 12 * (q + 1) * d * u * pt + 15 * c * u * u * e - 3 * u * u * v * p, den)
-    return kem, 6 * t * kem, add, kir  # Kf* = 2m K with m = 3t
+    kem = u * v * (36 * w * pt - 24 * c * a + 4 * d * p)
+    add = (54 * w * (6 * q + 11) * u * ptt - 72 * c * u * v * b + 72 * c * u * u * a
+           + 12 * d * u * v * pt + 6 * u * u * v * p)
+    kir = (27 * w * w * u * ptt - 9 * c * u * v * b + 18 * c * u * u * a
+           + 12 * (q + 1) * d * u * pt + 15 * c * u * u * e - 3 * u * u * v * p)
+    return 24 * u * u * v * p, kem, add, kir
+
+
+def pseudofractal_metrics(q: int, k: int):
+    """The indices of the k-th pseudofractal web built with parameter q,
+    in PSEUDOFRACTAL_ORDER, as Fractions normalised by one gcd each: up to
+    k of about 1000 that is cheaper than a Fraction chain's gcds against
+    small integers, one per step."""
+    q, k = check_q(q), check_k(k)
+    t = (2 * q + 1) ** k
+    den, kem, add, kir = _pseudofractal_numerators(q, k, t, (q + 2) ** k)
+    kem = Fraction(kem, den)
+    return kem, 6 * t * kem, Fraction(add, den), Fraction(kir, den)  # Kf* = 2m K, m = 3t
+
+
+def pseudofractal_rows(q: int, kmax: int):
+    """Yield (k, n, m, *map(float, pseudofractal_metrics(q, k))) for
+    k = 0..kmax, with t, p, n and m each one product from the last row's
+    and each value numerator / L by correctly rounded int division: the
+    float of the Fraction bit for bit, the same OverflowError at the same k."""
+    kmax, q = check_k(kmax), check_q(q)
+    t, p, n, m = 1, 1, 3, 3
+    for k in range(kmax + 1):
+        den, kem, add, kir = _pseudofractal_numerators(q, k, t, p)
+        yield k, n, m, kem / den, 6 * t * kem / den, add / den, kir / den
+        t, p, n, m = t * (2 * q + 1), p * (q + 2), n + q * m, m * (2 * q + 1)

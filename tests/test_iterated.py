@@ -1,3 +1,6 @@
+import dataclasses
+import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -14,10 +17,11 @@ from trispectra.iterated import (
     iterated_kirchhoff,
     iterated_multiplicative,
     pseudofractal_metrics,
+    pseudofractal_rows,
 )
-from trispectra.metrics import hitting_oracle, kirchhoff_indices, resistance_oracle
+from trispectra.metrics import INDICES, hitting_oracle, kirchhoff_indices, resistance_oracle
 from trispectra.transfer import GraphSummary, transferred_summary
-from trispectra.triangulation import iterate_triangulation
+from trispectra.triangulation import iterate_triangulation, predicted_counts
 from trispectra.verify import suite_telescoping
 
 
@@ -47,15 +51,28 @@ def test_single_step_matches_transfer():
     assert iterated_kirchhoff(TRIANGLE_BASE, 1, 1) == Fraction(65, 6)
 
 
-@pytest.mark.parametrize("q", [1, 2, 3])
+#: the exact bases of verify.suite_telescoping: the triangle, P2 and P3
+EXACT_BASES = (
+    TRIANGLE_BASE,
+    GraphSummary(n=2, m=1, kemeny=Fraction(1, 2), kirchhoff=Fraction(1),
+                 additive=Fraction(2), multiplicative=Fraction(1)),
+    GraphSummary(n=3, m=2, kemeny=Fraction(3, 2), kirchhoff=Fraction(4),
+                 additive=Fraction(10), multiplicative=Fraction(6)),
+)
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4, 5])
 def test_telescoping_exact(q):
-    chain = TRIANGLE_BASE
-    for k in range(7):
-        assert iterated_kemeny(TRIANGLE_BASE, q, k) == chain.kemeny
-        assert iterated_multiplicative(TRIANGLE_BASE, q, k) == chain.multiplicative
-        assert iterated_additive(TRIANGLE_BASE, q, k) == chain.additive
-        assert iterated_kirchhoff(TRIANGLE_BASE, q, k) == chain.kirchhoff
-        chain = transferred_summary(q, chain)
+    # q = 1 and q = 4 reduce the growth ratios to integers, q >= 4 is
+    # outside the suites' range: a coefficient slip may show only there
+    for base in EXACT_BASES:
+        chain = base
+        for k in range(9):
+            assert iterated_kemeny(base, q, k) == chain.kemeny
+            assert iterated_multiplicative(base, q, k) == chain.multiplicative
+            assert iterated_additive(base, q, k) == chain.additive
+            assert iterated_kirchhoff(base, q, k) == chain.kirchhoff
+            chain = transferred_summary(q, chain)
 
 
 def test_telescoping_float():
@@ -236,3 +253,72 @@ def test_large_k_exact_rationals_survive():
     for _ in range(20):
         chain = transferred_summary(3, chain)
     assert val == chain.multiplicative
+
+
+_FORMS = (iterated_kemeny, iterated_multiplicative, iterated_additive, iterated_kirchhoff)
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("fn", _FORMS)
+def test_non_finite_field_is_typed(fn, x):
+    """A NaN or infinite field that a form reads gives FloatOverflowError
+    naming the form, never the ValueError of Fraction(nan); a NaN Kemeny
+    breaks Kf* = 2m Kemeny, so iterated_multiplicative refuses it first."""
+    summary = GraphSummary(n=3, m=3, kemeny=x, kirchhoff=x, additive=x, multiplicative=6 * x)
+    if fn is iterated_multiplicative and math.isnan(x):
+        with pytest.raises(trispectra.GraphError, match="^multiplicative nan breaks"):
+            fn(summary, 1, 2)
+        return
+    with pytest.raises(trispectra.FloatOverflowError) as info:
+        fn(summary, 1, 2)
+    assert str(info.value) == f"{fn.__name__} at q=1, k=2 exceeds the float range"
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+@pytest.mark.parametrize("k", [0, 1, 5, 40])
+def test_float_results_are_correctly_rounded(q, k):
+    """A float summary gives its exact value rounded once: the float of the
+    form on the same numbers as Fractions, for numpy float64 fields too.
+    The multiplicative form reads Kemeny's constant alone, so its exact
+    twin has Kf* = 2m Kemeny exactly, which 8 and 4/3 as floats miss."""
+    floats = {name: float(getattr(TRIANGLE_BASE, name)) for name in INDICES}
+    exact = GraphSummary(n=3, m=3, **{name: Fraction(x) for name, x in floats.items()})
+    twins = dict.fromkeys(_FORMS, exact)
+    twins[iterated_multiplicative] = dataclasses.replace(exact, multiplicative=6 * exact.kemeny)
+    for cast in (float, np.float64):
+        summary = GraphSummary(n=3, m=3, **{name: cast(x) for name, x in floats.items()})
+        for fn, twin in twins.items():
+            got = fn(summary, q, k)
+            assert type(got) is float and got == float(fn(twin, q, k)), fn.__name__
+
+
+def test_float_result_moved_to_the_nearest_float():
+    # the Fraction chain with float coefficients read 11826964.406249998
+    base = GraphSummary(n=3, m=3, kemeny=4 / 3, kirchhoff=2.0, additive=8.0, multiplicative=8.0)
+    assert iterated_kirchhoff(base, 2, 5) == 11826964.40625
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 7, 10**11])
+def test_pseudofractal_rows_equal_the_exact_form(q):
+    """The row generator yields the counts and the floats of the exact form
+    for every k up to the last finite row, and raises OverflowError at the
+    first k whose exact values do not fit in a float (322 at q = 1)."""
+    rows = pseudofractal_rows(q, 10**4)
+    for k in itertools.count():
+        try:
+            want = (k, *predicted_counts(3, 3, q, k), *map(float, pseudofractal_metrics(q, k)))
+        except OverflowError:
+            break
+        assert next(rows) == want
+    with pytest.raises(OverflowError):
+        next(rows)
+    assert k == 322 or q != 1
+
+
+def test_pseudofractal_rows_stop_at_kmax_and_check_arguments():
+    assert [row[0] for row in pseudofractal_rows(2, 4)] == [0, 1, 2, 3, 4]
+    assert list(pseudofractal_rows(np.int64(1), np.int64(0))) == [(0, 3, 3, 4 / 3, 8.0, 8.0, 2.0)]
+    with pytest.raises(InvalidKError):
+        next(pseudofractal_rows(0, -1))
+    with pytest.raises(InvalidQError):
+        next(pseudofractal_rows(0, 3))

@@ -4,13 +4,16 @@ and rank B = n - [G bipartite] is read from ``is_bipartite``'s flag, so
 no module defines ``_incidence_rank`` or subscripts or unpacks what
 ``is_bipartite`` returns.  The lift has one code path for both parities:
 the only conditional in spectral.py is ``_gate``'s, and ``_lifted_values``
-reads G as numbers (eigenvalues, n, m, bipartite, q), not as a Spectrum."""
+reads G as numbers (eigenvalues, n, m, bipartite, q), not as a Spectrum.
+The pseudofractal numerators have one owner: ``pseudofractal_metrics``
+and the CLI's row generator both call ``_pseudofractal_numerators``, and
+``cmd_pseudofractal`` builds no row from the exact form or the counts."""
 
 import ast
 from pathlib import Path
 
 import trispectra
-from trispectra import spectral
+from trispectra import cli, iterated, spectral
 
 
 def _name(node):
@@ -115,3 +118,46 @@ def test_spectral_guard_sees_each_finding():
 
 def test_lift_has_one_code_path_for_both_parities():
     assert _scan_spectral(Path(spectral.__file__).read_text()) == []
+
+
+_ROW_CALLERS = ("pseudofractal_metrics", "pseudofractal_rows")
+_NOT_PER_ROW = ("pseudofractal_metrics", "predicted_counts")
+
+
+def _scan_pseudofractal(source: str) -> list:
+    """The findings in ``source`` for the pseudofractal table: "cmd calls
+    <name>" for each call of a _NOT_PER_ROW name in cmd_pseudofractal, then
+    "<name> without numerators" for each _ROW_CALLERS name that no
+    top-level definition of that name calls _pseudofractal_numerators in."""
+    tree = ast.parse(source)
+    calls = {f.name: {_name(node.func) for node in ast.walk(f) if isinstance(node, ast.Call)}
+             for f in tree.body if isinstance(f, ast.FunctionDef)}
+    found = [f"cmd calls {name}" for name in _NOT_PER_ROW
+             if name in calls.get("cmd_pseudofractal", ())]
+    return found + [f"{name} without numerators" for name in _ROW_CALLERS
+                    if "_pseudofractal_numerators" not in calls.get(name, ())]
+
+
+def test_pseudofractal_guard_sees_each_finding():
+    helper = "def _pseudofractal_numerators(q, k, t, p):\n    pass\n"
+    both = ("def pseudofractal_metrics(q, k):\n    return _pseudofractal_numerators(q, k, 1, 1)\n"
+            "def pseudofractal_rows(q, kmax):\n"
+            "    yield iterated._pseudofractal_numerators(q, 0, 1, 1)\n")
+    rows = "def cmd_pseudofractal(args, out):\n    rows = list(pseudofractal_rows(args.q, 3))\n"
+    assert _scan_pseudofractal(helper + both + rows) == []
+    assert _scan_pseudofractal(
+        both + "def cmd_pseudofractal(args, out):\n"
+        "    return [(*predicted_counts(3, 3, 1, k), *pseudofractal_metrics(1, k)) for k in ks]\n"
+    ) == ["cmd calls pseudofractal_metrics", "cmd calls predicted_counts"]
+    assert _scan_pseudofractal(
+        rows + "def pseudofractal_metrics(q, k):\n    return Fraction(1, 2)\n"
+        "def pseudofractal_rows(q, kmax):\n    yield from map(pseudofractal_metrics, range(kmax))\n"
+    ) == ["pseudofractal_metrics without numerators", "pseudofractal_rows without numerators"]
+    assert _scan_pseudofractal("def f():\n    _pseudofractal_numerators(1, 1, 1, 1)\n") == [
+        "pseudofractal_metrics without numerators", "pseudofractal_rows without numerators",
+    ]
+
+
+def test_pseudofractal_numerators_have_one_owner():
+    source = Path(cli.__file__).read_text() + Path(iterated.__file__).read_text()
+    assert _scan_pseudofractal(source) == []
