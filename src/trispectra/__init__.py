@@ -14,7 +14,7 @@ from .errors import (
     InvalidQError,
     SameNodeError,
     SelfLoopError,
-    SingularSystemError,
+    SizeLimitError,
     TrispectraError,
 )
 from .graph import (

@@ -1,6 +1,6 @@
 """Exception hierarchy shared by all modules; ``is_integer``, the one
-test of an integer argument; and the validators of q, k and node
-indices built on it."""
+test of an integer argument; the validators of q, k and node indices
+built on it; and the two size bounds, checked by ``check_size``."""
 
 from numbers import Integral
 
@@ -89,5 +89,21 @@ class ConvergenceFailure(TrispectraError):
     """A numerical result missed its residual gate; a NaN residual misses."""
 
 
-class SingularSystemError(TrispectraError):
-    """numpy could not invert a matrix that is regular on connected graphs."""
+class SizeLimitError(TrispectraError):
+    """A graph is larger than the arrays of a computation may be."""
+
+
+#: most nodes n of a graph whose n x n arrays are built: the two oracles,
+#: eigendecompose, and R_q(G)'s in lift_spectrum and kernel_basis; one
+#: n x n float array at the bound takes 128 MiB
+MAX_DENSE_NODES = 4096
+
+#: most nodes of a graph whose node and edge arrays are built: n + mq in
+#: q_triangulate and lift_eigenvalues, and a builtin graph's size
+MAX_NODES = 2**21
+
+
+def check_size(n: int, bound: int, what: str) -> None:
+    """SizeLimitError naming ``what``, n and the bound unless n <= bound."""
+    if n > bound:
+        raise SizeLimitError(f"{what} on {n} nodes exceeds the bound of {bound} nodes")

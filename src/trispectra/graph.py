@@ -15,12 +15,14 @@ from operator import index
 import numpy as np
 
 from .errors import (
+    MAX_NODES,
     DisconnectedError,
     DuplicateEdgeError,
     EdgeListParseError,
     EmptyGraphError,
     GraphError,
     SelfLoopError,
+    check_size,
     is_integer,
 )
 
@@ -257,17 +259,20 @@ def star_graph(n: int) -> Graph:
 
 def builtin_graph(name: str) -> Graph:
     """Resolve 'k2', 'k3', 'cycle:N', 'path:N', 'star:N' to a Graph;
-    a ValueError names the builtin for any other name or size."""
+    a GraphError names the builtin for any other name or size, the
+    builders' EmptyGraphError refuses a size too small, and SizeLimitError
+    a graph of more than ``errors.MAX_NODES`` nodes."""
     base, colon, arg = name.partition(":")
     base = base.lower()
     if base in ("k2", "k3"):
         if colon:
-            raise ValueError(f"builtin '{base}' takes no size, got '{name}'")
+            raise GraphError(f"builtin '{base}' takes no size, got '{name}'")
         return complete_graph(int(base[1]))
     if base in ("cycle", "path", "star"):
         try:
             size = int(arg)
         except ValueError:
-            raise ValueError(f"builtin '{base}' needs an integer size, got '{name}'") from None
+            raise GraphError(f"builtin '{base}' needs an integer size, got '{name}'") from None
+        check_size(size + (base == "star"), MAX_NODES, f"builtin '{name}'")  # star:N has N + 1
         return {"cycle": cycle_graph, "path": path_graph, "star": star_graph}[base](size)
-    raise ValueError(f"unknown builtin graph '{name}'")
+    raise GraphError(f"unknown builtin graph '{name}'")

@@ -198,10 +198,17 @@ def pseudofractal_rows(q: int, kmax: int):
     """Yield (k, n, m, *map(float, pseudofractal_metrics(q, k))) for
     k = 0..kmax, with t, p, n and m each one product from the last row's
     and each value numerator / L by correctly rounded int division: the
-    float of the Fraction bit for bit, the same OverflowError at the same k."""
+    float of the Fraction bit for bit.  At the first k whose float would
+    overflow, FloatOverflowError names q and k in place of that row."""
     kmax, q = check_k(kmax), check_q(q)
     t, p, n, m = 1, 1, 3, 3
     for k in range(kmax + 1):
         den, kem, add, kir = _pseudofractal_numerators(q, k, t, p)
-        yield k, n, m, kem / den, 6 * t * kem / den, add / den, kir / den
+        try:
+            row = k, n, m, kem / den, 6 * t * kem / den, add / den, kir / den
+        except OverflowError:
+            raise FloatOverflowError(
+                f"pseudofractal_rows at q={q}, k={k} exceeds the float range"
+            ) from None
+        yield row
         t, p, n, m = t * (2 * q + 1), p * (q + 2), n + q * m, m * (2 * q + 1)

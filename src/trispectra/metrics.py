@@ -12,10 +12,12 @@ quantities, which the transfer formulas of :mod:`trispectra.transfer` read.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from fractions import Fraction
+from numbers import Real
 
 import numpy as np
 
-from .errors import GraphError, TrispectraError, is_index
+from .errors import MAX_DENSE_NODES, GraphError, TrispectraError, check_size, is_index
 from .graph import Graph
 from .spectral import Spectrum, _gated_inverse, eigendecompose
 
@@ -27,14 +29,16 @@ INDICES = ("kemeny", "kirchhoff", "additive", "multiplicative")
 class GraphSummary:
     """The quantities of G that the transfer formulas read.
 
-    Scalars may be floats or Fractions.  ``hitting`` and ``resistance``
-    (full n x n matrices of G, 0-based numpy arrays) and ``graph`` (G
-    itself, whose canonical edge e is ``graph.edges[e - 1]``) are only
-    needed for the two-node transfers.  GraphError, naming the field,
-    unless n and m are integers with n >= 2 and n - 1 <= m <= n(n-1)/2
-    (a connected simple graph), ``graph`` is a Graph with these n and m
-    and each matrix has shape (n, n).  n and m are kept as Python ints,
-    so that no product of counts in a closed form overflows.
+    The four INDICES may be floats, ints, Fractions or numpy reals, NaN
+    and inf included.  ``hitting`` and ``resistance`` (full n x n
+    matrices of G, 0-based numpy arrays) and ``graph`` (G itself, whose
+    canonical edge e is ``graph.edges[e - 1]``) are only needed for the
+    two-node transfers.  GraphError, naming the field, unless n and m are
+    integers with n >= 2 and n - 1 <= m <= n(n-1)/2 (a connected simple
+    graph), each index is a real number and not a bool, ``graph`` is a
+    Graph with these n and m and each matrix has shape (n, n).  n and m
+    are kept as Python ints, so that no product of counts in a closed
+    form overflows.
     """
 
     n: int
@@ -56,6 +60,11 @@ class GraphSummary:
         if not (is_index(m, top) and m >= n - 1):
             raise GraphError(f"m must be an integer in {n - 1}..{top}, got {m!r}")
         self.__dict__.update(n=n, m=int(m))
+        for name in INDICES:
+            x = getattr(self, name)
+            # the concrete types first: the Real ABC's check is slow
+            if type(x) is bool or not isinstance(x, (float, int, Fraction, Real)):
+                raise GraphError(f"{name} must be a real number, got {x!r}")
         g = self.graph
         if g is not None and not (isinstance(g, Graph) and (g.n, g.m) == (n, m)):
             raise GraphError(f"graph must be a Graph with n = {n} and m = {m}")
@@ -79,6 +88,7 @@ def hitting_oracle(g: Graph) -> np.ndarray:
     """Full hitting-time matrix from the fundamental matrix of the walk,
     Z = (I - T + 1 pi^T)^{-1}: T_ij = (Z_jj - Z_ij) / pi_j (Kemeny and
     Snell, Finite Markov Chains, 1960).  One inverse for all targets."""
+    check_size(g.n, MAX_DENSE_NODES, "hitting_oracle")
     pi = g.stationary_distribution()
     a = np.eye(g.n) - g.transition_matrix() + pi[None, :]
     z = _gated_inverse(a, 0.0, "fundamental matrix Z")
@@ -89,6 +99,7 @@ def resistance_oracle(g: Graph) -> np.ndarray:
     """Resistance matrix via the Laplacian pseudoinverse:
     r_ij = (e_i - e_j)^T L^+ (e_i - e_j), with L^+ = (L + J/n)^{-1} - J/n
     (L + J/n is regular on a connected graph)."""
+    check_size(g.n, MAX_DENSE_NODES, "resistance_oracle")
     lap = (np.diag(g.degrees) - g.adjacency_matrix()).astype(float)
     lp = _gated_inverse(lap, 1.0 / g.n, "Laplacian pseudoinverse L^+")
     diag = np.diag(lp)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceFailure, SingularSystemError, check_q
+from .errors import MAX_DENSE_NODES, MAX_NODES, ConvergenceFailure, check_q, check_size
 from .graph import Graph, is_bipartite
 from .triangulation import q_triangulate
 
@@ -32,13 +32,13 @@ def _gate(residual, limit, what: str) -> None:
 
 def _gated_inverse(m: np.ndarray, kk, what: str) -> np.ndarray:
     """(m + kk)^{-1} - kk, kk the projector onto ker m (a scalar c is c J),
-    gated at ||m result - (I - kk)||_max <= 1e-10 n; SingularSystemError
-    only when m + kk cannot be inverted."""
+    gated at ||m result - (I - kk)||_max <= 1e-10 n.  When numpy cannot
+    invert m + kk the result is NaN, whose residual misses the gate."""
     n = len(m)
     try:
         result = np.linalg.inv(m + kk) - kk
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(f"{what}: matrix to invert is singular") from exc
+    except np.linalg.LinAlgError:
+        result = np.full((n, n), np.nan)
     _gate(np.abs(m @ result - (np.eye(n) - kk)).max(), _RESIDUAL * n, what)
     return result
 
@@ -67,6 +67,7 @@ def _fix_signs(vecs: np.ndarray) -> np.ndarray:
 
 def eigendecompose(g: Graph) -> Spectrum:
     """Full symmetric eigendecomposition of P = D^{-1/2} A D^{-1/2}."""
+    check_size(g.n, MAX_DENSE_NODES, "eigendecompose")
     p = g.normalized_adjacency()
     vals, vecs = np.linalg.eigh(p)
     order = np.argsort(-vals, kind="stable")
@@ -94,9 +95,11 @@ def kernel_basis(g: Graph, q: int) -> np.ndarray:
     C = 1_q^T (x) B, so ker C = (ker 1_q^T (x) I_m) + (1_q/sqrt(q) (x) ker B).
     Rank B is n - [G bipartite] and both kernels come from a QR.  Returns
     an (m*q) x (m*q - rank B) matrix whose columns y satisfy
-    ||C y|| = sqrt(q) ||B N|| <= 1e-10, N the basis of ker B.
+    ||C y|| = sqrt(q) ||B N|| <= 1e-10, N the basis of ker B.  The
+    dense bound applies to R_q(G)'s n + mq nodes.
     """
     q = check_q(q)
+    check_size(g.n + g.m * q, MAX_DENSE_NODES, "kernel_basis")
     b = g.incidence_matrix().astype(float)
     null_b = _qr_kernel(b, g.n - is_bipartite(g))
     _gate(np.sqrt(q) * np.linalg.norm(b @ null_b, axis=0).max(initial=0.0), 1e-10, "ker B")
@@ -144,10 +147,12 @@ def lift_eigenvalues(spec: Spectrum, q: int) -> tuple[np.ndarray, tuple]:
 
     O(n + mq) work: no eigenvector matrix and no basis of ker C is built,
     so kernel_basis's ker B residual check does not run; the m*q - rank B
-    zeros are counted from the 2-colouring, as in lift_spectrum.
+    zeros are counted from the 2-colouring, as in lift_spectrum.  The
+    array bound applies to R_q(G)'s n + mq nodes.
     """
-    g = spec.graph
-    return _lifted_values(spec.eigenvalues, g.n, g.m, is_bipartite(g), check_q(q))[:2]
+    q, g = check_q(q), spec.graph
+    check_size(g.n + g.m * q, MAX_NODES, "lift_eigenvalues")
+    return _lifted_values(spec.eigenvalues, g.n, g.m, is_bipartite(g), q)[:2]
 
 
 def lift_spectrum(spec: Spectrum, q: int) -> Spectrum:
@@ -159,10 +164,12 @@ def lift_spectrum(spec: Spectrum, q: int) -> Spectrum:
     of sqrt(2(q+1)) / (lambda +- sqrt(Delta)) * B^T D^{-1/2} v, the whole
     vector normalized by sqrt(1/2 +- lambda / (2 sqrt(Delta))).  The input
     eigenvectors beyond rank B (one on a bipartite G, none otherwise) are
-    kept on the old nodes and zero on the new.
+    kept on the old nodes and zero on the new.  The dense bound applies to
+    R_q(G)'s n + mq nodes.
     """
     q, g = check_q(q), spec.graph
     n, m = g.n, g.m
+    check_size(n + m * q, MAX_DENSE_NODES, "lift_spectrum")
     bipartite = is_bipartite(g)
     rank = n - bipartite
     vals, _, order, numer, sqrt_delta = _lifted_values(spec.eigenvalues, n, m, bipartite, q)

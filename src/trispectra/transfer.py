@@ -5,14 +5,17 @@ record that ``compute_metrics`` returns for either route; the
 triangulation graph is never constructed or decomposed.  Rational
 coefficients are built with ``fractions.Fraction``, so feeding a summary
 whose scalars are Fractions yields exact rational outputs, while float
-summaries flow through in ordinary 64-bit arithmetic.
+summaries flow through in ordinary 64-bit arithmetic; a scalar transfer
+whose float result leaves the float range raises FloatOverflowError.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from fractions import Fraction
 
-from .errors import InvalidNodeRefError, SameNodeError, check_q, is_index
+from .errors import FloatOverflowError, InvalidNodeRefError, SameNodeError, check_q, is_index
 from .metrics import GraphSummary
 from .triangulation import new_node_generator
 
@@ -91,6 +94,25 @@ def transfer_resistance(q: int, summary: GraphSummary, a, b):
 # ---- scalar transfers -------------------------------------------------
 
 
+def _float_range(scalar_transfer):
+    """FloatOverflowError naming the transfer and q in place of an
+    OverflowError (an exact term too large for a float) or of a float
+    result that is inf or NaN; exact and finite results pass unchanged."""
+
+    @functools.wraps(scalar_transfer)
+    def wrapper(q, summary):
+        try:
+            value = scalar_transfer(q, summary)
+        except OverflowError:
+            value = math.inf
+        if isinstance(value, float) and not math.isfinite(value):
+            raise FloatOverflowError(f"{scalar_transfer.__name__} at q={q} exceeds the float range")
+        return value
+
+    return wrapper
+
+
+@_float_range
 def transfer_kemeny(q: int, summary: GraphSummary):
     """Kemeny's constant of R_q(G)."""
     q = check_q(q)
@@ -103,6 +125,7 @@ def transfer_kemeny(q: int, summary: GraphSummary):
     )
 
 
+@_float_range
 def transfer_multiplicative(q: int, summary: GraphSummary):
     """Multiplicative degree-Kirchhoff index of R_q(G)."""
     q = check_q(q)
@@ -113,6 +136,7 @@ def transfer_multiplicative(q: int, summary: GraphSummary):
     )
 
 
+@_float_range
 def transfer_additive(q: int, summary: GraphSummary):
     """Additive degree-Kirchhoff index of R_q(G)."""
     q = check_q(q)
@@ -126,6 +150,7 @@ def transfer_additive(q: int, summary: GraphSummary):
     )
 
 
+@_float_range
 def transfer_kirchhoff(q: int, summary: GraphSummary):
     """Kirchhoff index of R_q(G): the old pairs, whose resistances scale
     by 2/(q+2), plus the new/old and the new/new pair sums."""
@@ -137,6 +162,7 @@ def transfer_kirchhoff(q: int, summary: GraphSummary):
     )
 
 
+@_float_range
 def new_old_resistance_sum(q: int, summary: GraphSummary):
     """Sum of resistances over (new node, old node) pairs in R_q(G)."""
     q = check_q(q)
@@ -148,6 +174,7 @@ def new_old_resistance_sum(q: int, summary: GraphSummary):
     )
 
 
+@_float_range
 def new_pair_resistance_sum(q: int, summary: GraphSummary):
     """Sum of resistances over unordered pairs of new nodes in R_q(G)."""
     q = check_q(q)

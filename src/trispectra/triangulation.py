@@ -14,7 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GraphError, InvalidNodeRefError, check_k, check_q, is_index
+from .errors import (
+    MAX_NODES, GraphError, InvalidNodeRefError, check_k, check_q, check_size, is_index,
+)
 from .graph import Graph
 
 
@@ -63,10 +65,12 @@ def q_triangulate(g: Graph, q: int) -> TriangulationResult:
     The canonical edge tuple comes straight from G's endpoint array: G's
     edges, then (s, x) and (t, x) for each new node x of edge {s, t},
     lexsorted.  R_q(G) of a valid G is simple and connected, so
-    build_graph's per-edge validation is skipped.
+    build_graph's per-edge validation is skipped.  R_q(G)'s n + mq nodes
+    must lie within the array bound ``errors.MAX_NODES``.
     """
     q = check_q(q)
     n, m = g.n, g.m
+    check_size(n + m * q, MAX_NODES, "q_triangulate")
     # copy f of edge e is node n + (f-1)m + e: copies of G's edge list in turn
     new = np.arange(n + 1, n + m * q + 1)
     s, t = np.tile(g._ends.T + 1, q)

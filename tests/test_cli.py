@@ -13,9 +13,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import trispectra
 from trispectra import cli, metrics, spectral, verify
 from trispectra.cli import _write_json, main
-from trispectra.errors import ConvergenceFailure, SingularSystemError
+from trispectra.errors import ConvergenceFailure, TrispectraError
 from trispectra.graph import (
     EdgeListParseError, build_graph, complete_graph, cycle_graph, format_edge_list,
     parse_edge_list,
@@ -349,8 +350,9 @@ def test_pseudofractal_overflow_is_input_error(capsys):
     assert code == 0
     code, text = run_cli(["pseudofractal", "--q", "1", "--kmax", "322"])
     assert code == 2 and text == ""
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "k=322" in err and "Traceback" not in err
+    assert capsys.readouterr().err == (
+        "error: FloatOverflowError: pseudofractal_rows at q=1, k=322 exceeds the float range\n"
+    )
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -728,23 +730,43 @@ def test_builtin_with_bad_size_is_input_error(graph, capsys):
     code, text = run_cli(["metrics", "--graph", graph])
     assert code == 2 and text == ""
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith(f"error: builtin '{graph.partition(':')[0]}'")
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: GraphError: builtin '{graph.partition(':')[0]}'")
 
 
-@pytest.mark.parametrize("error", [ConvergenceFailure, SingularSystemError])
-def test_numerical_failure_exits_3(error, monkeypatch, capsys):
+_EXPORTED_ERRORS = sorted(
+    (v for v in vars(trispectra).values()
+     if isinstance(v, type) and issubclass(v, TrispectraError)),
+    key=lambda cls: cls.__name__,
+)
+
+
+@pytest.mark.parametrize("error", _EXPORTED_ERRORS, ids=lambda cls: cls.__name__)
+def test_each_library_error_has_one_exit_status(error, monkeypatch, capsys):
+    # main maps each class to its status and line, and rewrites no message
+    if error is trispectra.EdgeListParseError:
+        exc, want = error(3, "boom"), (2, "error: parse error line 3: boom\n")
+    elif error is ConvergenceFailure:
+        exc, want = error("boom"), (3, "numerical failure: boom\n")
+    else:
+        exc, want = error("boom"), (2, f"error: {error.__name__}: boom\n")
+
     def fail(*args):
-        raise error("no convergence")
+        raise exc
 
     monkeypatch.setattr(metrics, "hitting_oracle", fail)
-    code, text = run_cli(["metrics", "--graph", "k3"])
-    assert (code, text) == (3, "")
-    assert capsys.readouterr().err == "numerical failure: no convergence\n"
+    assert run_cli(["metrics", "--graph", "k3"]) == (want[0], "")
+    assert capsys.readouterr() == ("", want[1])
 
 
-@pytest.mark.parametrize("fault", [lambda x: x + 1e-6 * np.eye(len(x)), lambda x: x * np.nan],
-                         ids=["off", "nan"])
+def _singular(x):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+@pytest.mark.parametrize("fault", [lambda x: x + 1e-6 * np.eye(len(x)), lambda x: x * np.nan,
+                                   _singular], ids=["off", "nan", "singular"])
 def test_numerical_failure_names_matrix_residual_and_limit(fault, monkeypatch, capsys):
+    # a matrix that numpy cannot invert leaves a NaN residual, which misses
     inv = np.linalg.inv
     monkeypatch.setattr(np.linalg, "inv", lambda a: fault(inv(a)))
     code, text = run_cli(["metrics", "--graph", "k3"])

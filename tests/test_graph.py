@@ -228,11 +228,11 @@ def test_builtin_graphs():
     assert builtin_graph("cycle:5").m == 5
     assert builtin_graph("path:4").m == 3
     assert builtin_graph("star:3").n == 4
-    with pytest.raises(ValueError):
+    with pytest.raises(GraphError, match="^unknown builtin graph 'torus:3'$"):
         builtin_graph("torus:3")
     # k2/k3 take no size, and cycle/path/star only an integer one
     for name in ("k2:junk", "k3:99", "k3:", "cycle", "cycle:x", "path:", "path:2.5", "star:2:3"):
-        with pytest.raises(ValueError, match=f"^builtin '{name.partition(':')[0]}' "):
+        with pytest.raises(GraphError, match=f"^builtin '{name.partition(':')[0]}' "):
             builtin_graph(name)
 
 

@@ -301,8 +301,9 @@ def test_float_result_moved_to_the_nearest_float():
 @pytest.mark.parametrize("q", [1, 2, 3, 7, 10**11])
 def test_pseudofractal_rows_equal_the_exact_form(q):
     """The row generator yields the counts and the floats of the exact form
-    for every k up to the last finite row, and raises OverflowError at the
-    first k whose exact values do not fit in a float (322 at q = 1)."""
+    for every k up to the last finite row, and raises FloatOverflowError
+    naming q and k at the first k whose exact values do not fit in a float
+    (322 at q = 1)."""
     rows = pseudofractal_rows(q, 10**4)
     for k in itertools.count():
         try:
@@ -310,8 +311,10 @@ def test_pseudofractal_rows_equal_the_exact_form(q):
         except OverflowError:
             break
         assert next(rows) == want
-    with pytest.raises(OverflowError):
+    with pytest.raises(trispectra.FloatOverflowError) as info:
         next(rows)
+    assert str(info.value) == f"pseudofractal_rows at q={q}, k={k} exceeds the float range"
+    assert info.value.__cause__ is None and info.value.__suppress_context__
     assert k == 322 or q != 1
 
 

@@ -7,7 +7,10 @@ the only conditional in spectral.py is ``_gate``'s, and ``_lifted_values``
 reads G as numbers (eigenvalues, n, m, bipartite, q), not as a Spectrum.
 The pseudofractal numerators have one owner: ``pseudofractal_metrics``
 and the CLI's row generator both call ``_pseudofractal_numerators``, and
-``cmd_pseudofractal`` builds no row from the exact form or the counts."""
+``cmd_pseudofractal`` builds no row from the exact form or the counts.
+Each failure has one class, raised where it is decided: no module raises
+ValueError or OverflowError or names the deleted SingularSystemError,
+and cli.py catches neither, so it rewrites no library error."""
 
 import ast
 from pathlib import Path
@@ -161,3 +164,58 @@ def test_pseudofractal_guard_sees_each_finding():
 def test_pseudofractal_numerators_have_one_owner():
     source = Path(cli.__file__).read_text() + Path(iterated.__file__).read_text()
     assert _scan_pseudofractal(source) == []
+
+
+_RAW = ("ValueError", "OverflowError")
+
+
+def _scan_failures(source: str) -> list:
+    """The findings in ``source`` in ``ast.walk`` order: "SingularSystemError"
+    for each definition, import, name or attribute lookup of it, "raise
+    <name>" for each raise of a _RAW class or an instance of one, and
+    "except <name>" for each except clause that names a _RAW class, alone
+    or in a tuple."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.alias) and node.name == "SingularSystemError"
+                or isinstance(node, ast.ClassDef) and node.name == "SingularSystemError"
+                or isinstance(node, (ast.Name, ast.Attribute))
+                and _name(node) == "SingularSystemError"):
+            found.append("SingularSystemError")
+        elif isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if _name(exc) in _RAW:
+                found.append(f"raise {_name(exc)}")
+        elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+            types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            found += [f"except {_name(t)}" for t in types if _name(t) in _RAW]
+    return found
+
+
+def test_failure_guard_sees_each_finding():
+    assert _scan_failures("class SingularSystemError(TrispectraError):\n    pass") == [
+        "SingularSystemError",
+    ]
+    assert _scan_failures("from .errors import SingularSystemError") == ["SingularSystemError"]
+    assert _scan_failures("raise errors.SingularSystemError('x')") == ["SingularSystemError"]
+    assert _scan_failures("raise ValueError('x')") == ["raise ValueError"]
+    assert _scan_failures("raise OverflowError") == ["raise OverflowError"]
+    assert _scan_failures("raise GraphError('x') from None") == []
+    assert _scan_failures("raise") == []
+    assert _scan_failures("try:\n    f()\nexcept ValueError as exc:\n    pass") == [
+        "except ValueError",
+    ]
+    assert _scan_failures("try:\n    f()\nexcept (TypeError, OverflowError):\n    pass") == [
+        "except OverflowError",
+    ]
+    assert _scan_failures("try:\n    f()\nexcept (OSError, KeyError):\n    pass\n"
+                          "except:\n    pass") == []
+
+
+def test_each_failure_has_one_class_and_one_raise_site():
+    modules = sorted(Path(trispectra.__file__).parent.glob("*.py"))
+    assert len(modules) >= 10
+    found = [f"{path.stem}: {finding}" for path in modules
+             for finding in _scan_failures(path.read_text())
+             if path.stem == "cli" or not finding.startswith("except")]
+    assert found == []

@@ -273,6 +273,22 @@ def test_summary_fields_must_fit_n_and_m(k3_summary):
                 replace(k3_summary, hitting=None, resistance=None, graph=None, **change)
 
 
+#: the triangle's summary in floats
+FLOAT_K3 = GraphSummary(n=3, m=3, kemeny=4 / 3, kirchhoff=2.0, additive=8.0, multiplicative=8.0)
+
+
+@pytest.mark.parametrize("field", metrics.INDICES)
+def test_summary_indices_must_be_real_numbers(field):
+    # "x" gave iterated_kemeny's FloatOverflowError, "4/3" an exact value
+    # parsed from the string, None a raw TypeError and 1j a complex Kemeny
+    for bad in ("x", "4/3", None, 1j, True, np.bool_(False)):
+        with pytest.raises(GraphError, match=f"^{field} must be a real number, got "):
+            replace(FLOAT_K3, **{field: bad})
+    for good in (2, 2.5, Fraction(5, 2), np.float64(2.5), np.float32(2.5), np.int64(2),
+                 np.nan, -np.inf):
+        assert getattr(replace(FLOAT_K3, **{field: good}), field) is good
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_summary_keeps_numpy_counts_as_python_ints():
     # numpy n and m used to stay int64, so n*m overflowed in the closed
@@ -419,3 +435,38 @@ def test_transferred_summary_chains():
     s2 = transferred_summary(1, s1)
     assert (s2.n, s2.m) == (6, 9)
     assert s2.additive == 61
+
+
+def test_float_chain_of_transfers_stops_at_the_float_range():
+    # step 322 used to give multiplicative=inf, and step 323 a raw
+    # OverflowError; iterated_multiplicative stops at the same k
+    chain = FLOAT_K3
+    for _ in range(321):
+        chain = transferred_summary(1, chain)
+    assert all(np.isfinite([getattr(chain, name) for name in metrics.INDICES]))
+    with pytest.raises(trispectra.FloatOverflowError) as info:
+        transferred_summary(1, chain)
+    assert str(info.value) == "transfer_multiplicative at q=1 exceeds the float range"
+    assert info.value.__context__ is None
+    with pytest.raises(trispectra.FloatOverflowError):
+        iterated_multiplicative(FLOAT_K3, 1, 322)
+
+
+#: each scalar transfer and an index it reads before any other transfer does
+_READS = {
+    transfer_kemeny: "kemeny",
+    transfer_kirchhoff: "kirchhoff",
+    transfer_additive: "additive",
+    transfer_multiplicative: "multiplicative",
+    new_old_resistance_sum: "additive",
+    new_pair_resistance_sum: "multiplicative",
+}
+
+
+@pytest.mark.parametrize("x", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("fn", list(_READS), ids=lambda fn: fn.__name__)
+def test_non_finite_transfer_is_typed(fn, x):
+    with pytest.raises(trispectra.FloatOverflowError) as info:
+        fn(2, replace(FLOAT_K3, **{_READS[fn]: x}))
+    assert str(info.value) == f"{fn.__name__} at q=2 exceeds the float range"
+    assert type(fn(2, FLOAT_K3)) is float and type(fn(2, K2)) is Fraction
