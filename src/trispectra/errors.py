@@ -94,8 +94,9 @@ class SizeLimitError(TrispectraError):
 
 
 #: most nodes n of a graph whose n x n arrays are built: the two oracles,
-#: eigendecompose, and R_q(G)'s in lift_spectrum and kernel_basis; one
-#: n x n float array at the bound takes 128 MiB
+#: eigendecompose, Graph.adjacency_matrix, and R_q(G)'s in lift_spectrum
+#: and kernel_basis; one n x n float array at the bound takes 128 MiB.  It
+#: bounds n + m for Graph.incidence_matrix's n x m array
 MAX_DENSE_NODES = 4096
 
 #: most nodes of a graph whose node and edge arrays are built: n + mq in
@@ -103,7 +104,8 @@ MAX_DENSE_NODES = 4096
 MAX_NODES = 2**21
 
 
-def check_size(n: int, bound: int, what: str) -> None:
-    """SizeLimitError naming ``what``, n and the bound unless n <= bound."""
+def check_size(n: int, bound: int, what: str, size: str = "nodes") -> None:
+    """SizeLimitError naming ``what``, n and the bound unless n <= bound;
+    ``size`` names what n counts."""
     if n > bound:
-        raise SizeLimitError(f"{what} on {n} nodes exceeds the bound of {bound} nodes")
+        raise SizeLimitError(f"{what} on {n} {size} exceeds the bound of {bound} {size}")

@@ -15,6 +15,7 @@ from operator import index
 import numpy as np
 
 from .errors import (
+    MAX_DENSE_NODES,
     MAX_NODES,
     DisconnectedError,
     DuplicateEdgeError,
@@ -85,7 +86,9 @@ class Graph:
     # ---- matrix views -------------------------------------------------
 
     def adjacency_matrix(self) -> np.ndarray:
-        """Dense n x n 0/1 adjacency matrix (integer)."""
+        """Dense n x n 0/1 adjacency matrix (integer); SizeLimitError
+        unless n <= MAX_DENSE_NODES."""
+        check_size(self.n, MAX_DENSE_NODES, "adjacency_matrix")
         a = np.zeros((self.n, self.n), dtype=np.int64)
         a[self._ends[:, 0], self._ends[:, 1]] = 1
         a[self._ends[:, 1], self._ends[:, 0]] = 1
@@ -95,7 +98,9 @@ class Graph:
         """n x m incidence matrix B; B[i-1, e-1] = 1 iff node i lies on edge e.
 
         Satisfies B @ B.T == A + D exactly in integer arithmetic.
+        SizeLimitError unless n + m <= MAX_DENSE_NODES.
         """
+        check_size(self.n + self.m, MAX_DENSE_NODES, "incidence_matrix", "nodes plus edges")
         b = np.zeros((self.n, self.m), dtype=np.int64)
         b[self._ends.T, np.arange(self.m)] = 1
         return b

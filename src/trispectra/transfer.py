@@ -3,10 +3,10 @@
 Every function here is pure arithmetic on a :class:`GraphSummary`, the
 record that ``compute_metrics`` returns for either route; the
 triangulation graph is never constructed or decomposed.  Rational
-coefficients are built with ``fractions.Fraction``, so feeding a summary
-whose scalars are Fractions yields exact rational outputs, while float
-summaries flow through in ordinary 64-bit arithmetic; a scalar transfer
-whose float result leaves the float range raises FloatOverflowError.
+coefficients are built with ``fractions.Fraction``, so a summary with
+Fraction scalars gives exact rational outputs and one with floats 64-bit
+ones.  One guard wraps every public transfer, two-node ones included: it
+checks q, and a float result out of the float range is FloatOverflowError.
 """
 
 from __future__ import annotations
@@ -39,6 +39,26 @@ def _generators(q: int, summary: GraphSummary, matrix: str, a, b):
     return generator(a), generator(b)
 
 
+def _guarded(transfer):
+    """Every transfer's one guard: InvalidQError unless q is a positive
+    integer, checked first, then FloatOverflowError naming the transfer and
+    q in place of an OverflowError or of a float result that is inf or NaN.
+    A transfer built from others calls their unguarded ``__wrapped__``."""
+
+    @functools.wraps(transfer)
+    def wrapper(q, summary, *nodes, **named):
+        q = check_q(q)
+        try:
+            value = transfer(q, summary, *nodes, **named)
+        except OverflowError:
+            value = math.inf
+        if isinstance(value, float) and not math.isfinite(value):
+            raise FloatOverflowError(f"{transfer.__name__} at q={q} exceeds the float range")
+        return value
+
+    return wrapper
+
+
 # ---- two-node transfers ----------------------------------------------
 # An old node is its degenerate edge and T_xx = r_xx = 0, so the paper's
 # old/old, new/old, old/new and new/new cases are one formula each.  Summing
@@ -46,6 +66,7 @@ def _generators(q: int, summary: GraphSummary, matrix: str, a, b):
 # its case formula does.
 
 
+@_guarded
 def transfer_hitting(q: int, summary: GraphSummary, a, b):
     """Hitting time in R_q(G) from node a to node b.
 
@@ -58,7 +79,6 @@ def transfer_hitting(q: int, summary: GraphSummary, a, b):
     (2q+1)/(2(q+2)) [2(T_ju + T_jv) - T_uv - T_vu]; new -> new is m(2q+1)
     plus the bracket in full.
     """
-    q = check_q(q)
     (s, t, a_new), (u, v, b_new) = _generators(q, summary, "hitting", a, b)
     if a == b:
         raise SameNodeError(f"hitting time from node {a} to itself")
@@ -70,6 +90,7 @@ def transfer_hitting(q: int, summary: GraphSummary, a, b):
     )
 
 
+@_guarded
 def transfer_resistance(q: int, summary: GraphSummary, a, b):
     """Resistance distance in R_q(G) between nodes a and b (0 if equal).
 
@@ -81,7 +102,6 @@ def transfer_resistance(q: int, summary: GraphSummary, a, b):
     1/2 + (2 r_sj + 2 r_tj - r_st) / (2(q+2)); new/new is 1 plus the
     fraction in full.
     """
-    q = check_q(q)
     (s, t, a_new), (u, v, b_new) = _generators(q, summary, "resistance", a, b)
     if a == b:
         return 0
@@ -94,28 +114,9 @@ def transfer_resistance(q: int, summary: GraphSummary, a, b):
 # ---- scalar transfers -------------------------------------------------
 
 
-def _float_range(scalar_transfer):
-    """FloatOverflowError naming the transfer and q in place of an
-    OverflowError (an exact term too large for a float) or of a float
-    result that is inf or NaN; exact and finite results pass unchanged."""
-
-    @functools.wraps(scalar_transfer)
-    def wrapper(q, summary):
-        try:
-            value = scalar_transfer(q, summary)
-        except OverflowError:
-            value = math.inf
-        if isinstance(value, float) and not math.isfinite(value):
-            raise FloatOverflowError(f"{scalar_transfer.__name__} at q={q} exceeds the float range")
-        return value
-
-    return wrapper
-
-
-@_float_range
+@_guarded
 def transfer_kemeny(q: int, summary: GraphSummary):
     """Kemeny's constant of R_q(G)."""
-    q = check_q(q)
     n, m = summary.n, summary.m
     return (
         Fraction(4 * q + 2, q + 2) * summary.kemeny
@@ -125,10 +126,9 @@ def transfer_kemeny(q: int, summary: GraphSummary):
     )
 
 
-@_float_range
+@_guarded
 def transfer_multiplicative(q: int, summary: GraphSummary):
     """Multiplicative degree-Kirchhoff index of R_q(G)."""
-    q = check_q(q)
     n, m = summary.n, summary.m
     return Fraction(2 * (2 * q + 1) ** 2, q + 2) * summary.multiplicative + 2 * m * (
         Fraction(q * q + (4 * n - 1) * q + 2 * n, q + 2)
@@ -136,10 +136,9 @@ def transfer_multiplicative(q: int, summary: GraphSummary):
     )
 
 
-@_float_range
+@_guarded
 def transfer_additive(q: int, summary: GraphSummary):
     """Additive degree-Kirchhoff index of R_q(G)."""
-    q = check_q(q)
     n, m = summary.n, summary.m
     return (
         Fraction(2 * (2 * q + 1), q + 2) * summary.additive
@@ -150,22 +149,20 @@ def transfer_additive(q: int, summary: GraphSummary):
     )
 
 
-@_float_range
+@_guarded
 def transfer_kirchhoff(q: int, summary: GraphSummary):
     """Kirchhoff index of R_q(G): the old pairs, whose resistances scale
     by 2/(q+2), plus the new/old and the new/new pair sums."""
-    q = check_q(q)
     return (
         Fraction(2, q + 2) * summary.kirchhoff
-        + new_old_resistance_sum(q, summary)
-        + new_pair_resistance_sum(q, summary)
+        + new_old_resistance_sum.__wrapped__(q, summary)
+        + new_pair_resistance_sum.__wrapped__(q, summary)
     )
 
 
-@_float_range
+@_guarded
 def new_old_resistance_sum(q: int, summary: GraphSummary):
     """Sum of resistances over (new node, old node) pairs in R_q(G)."""
-    q = check_q(q)
     n, m = summary.n, summary.m
     return (
         Fraction(q, q + 2) * summary.additive
@@ -174,10 +171,9 @@ def new_old_resistance_sum(q: int, summary: GraphSummary):
     )
 
 
-@_float_range
+@_guarded
 def new_pair_resistance_sum(q: int, summary: GraphSummary):
     """Sum of resistances over unordered pairs of new nodes in R_q(G)."""
-    q = check_q(q)
     n, m = summary.n, summary.m
     return (
         Fraction(q * q, 2 * (q + 2)) * summary.multiplicative
@@ -186,9 +182,9 @@ def new_pair_resistance_sum(q: int, summary: GraphSummary):
     )
 
 
+@_guarded
 def transferred_summary(q: int, summary: GraphSummary) -> GraphSummary:
     """Scalar summary of R_q(G), for chaining single-step transfers."""
-    q = check_q(q)
     return GraphSummary(
         n=summary.n + summary.m * q,
         m=summary.m * (2 * q + 1),

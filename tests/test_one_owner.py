@@ -10,13 +10,17 @@ and the CLI's row generator both call ``_pseudofractal_numerators``, and
 ``cmd_pseudofractal`` builds no row from the exact form or the counts.
 Each failure has one class, raised where it is decided: no module raises
 ValueError or OverflowError or names the deleted SingularSystemError,
-and cli.py catches neither, so it rewrites no library error."""
+and cli.py catches neither, so it rewrites no library error.  The
+transfers have one guard, which owns the check of q and the float range:
+only it calls ``check_q`` in transfer.py, it wraps every public function
+there, and a transfer built from others calls their ``__wrapped__``
+bodies."""
 
 import ast
 from pathlib import Path
 
 import trispectra
-from trispectra import cli, iterated, spectral
+from trispectra import cli, iterated, spectral, transfer
 
 
 def _name(node):
@@ -219,3 +223,57 @@ def test_each_failure_has_one_class_and_one_raise_site():
              for finding in _scan_failures(path.read_text())
              if path.stem == "cli" or not finding.startswith("except")]
     assert found == []
+
+
+_GUARD = "_guarded"
+#: its value is a record, which the guard's float test cannot read, so it
+#: calls the guarded scalar transfers and each field is checked by its own
+_RECORD = "transferred_summary"
+
+
+def _scan_transfer(source: str) -> list:
+    """The findings in ``source`` for transfer.py: "<name> unguarded" for
+    each public top-level function without the _GUARD decorator, then in
+    ``ast.walk`` order of each top-level definition <owner>: "check_q in
+    <owner>" for each call of check_q outside _GUARD, and "<owner> calls
+    <name>" for each call of a guarded function by its guarded name
+    outside _RECORD; last "no check_q in _GUARD" unless _GUARD calls it."""
+    tree = ast.parse(source)
+    functions = [f for f in tree.body if isinstance(f, ast.FunctionDef)]
+    guarded = {f.name for f in functions if _GUARD in map(_name, f.decorator_list)}
+    found = [f"{f.name} unguarded" for f in functions
+             if not f.name.startswith("_") and f.name not in guarded]
+    checked = set()
+    for top in tree.body:
+        owner = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            called = _name(node.func) if isinstance(node, ast.Call) else None
+            if called == "check_q":
+                checked.add(owner)
+                if owner != _GUARD:
+                    found.append(f"check_q in {owner}")
+            elif called in guarded and owner != _RECORD:
+                found.append(f"{owner} calls {called}")
+    return found + [f"no check_q in {_GUARD}"] * (_GUARD not in checked)
+
+
+def test_transfer_guard_sees_each_finding():
+    guard = "def _guarded(f):\n    def wrapper(q, s):\n        return f(check_q(q), s)\n"
+    pair = "@_guarded\ndef pair(q, s):\n    return q\n"
+    assert _scan_transfer(guard + pair + "@_guarded\ndef total(q, s):\n"
+                          "    return pair.__wrapped__(q, s) + _helper(q)\n") == []
+    assert _scan_transfer(guard + pair + "@_guarded\ndef total(q, s):\n"
+                          "    return pair(q, s)\n") == ["total calls pair"]
+    assert _scan_transfer(guard + pair + "@_guarded\ndef transferred_summary(q, s):\n"
+                          "    return Summary(pair(q, s))\n") == []
+    assert _scan_transfer(guard + "def pair(q, s):\n    q = errors.check_q(q)\n") == [
+        "pair unguarded", "check_q in pair",
+    ]
+    assert _scan_transfer(guard + "@_float_range\ndef pair(q, s):\n    return q\n"
+                          "def _helper(q):\n    return q\n") == ["pair unguarded"]
+    assert _scan_transfer(guard + "Q = check_q(1)\n") == ["check_q in <module>"]
+    assert _scan_transfer("def _guarded(f):\n    return f\n" + pair) == ["no check_q in _guarded"]
+
+
+def test_transfers_have_one_guard():
+    assert _scan_transfer(Path(transfer.__file__).read_text()) == []

@@ -68,6 +68,21 @@ def test_each_guard_names_size_and_bound(what, call, n, bound):
     assert str(info.value) == _message(what, n, bound)
 
 
+@pytest.mark.parametrize("view, n, size", [
+    ("adjacency_matrix", 100000, "nodes"),
+    ("incidence_matrix", 100000 + 99999, "nodes plus edges"),
+])
+def test_each_matrix_view_names_its_size(view, n, size):
+    # under a 3 GB address-space limit each raised a raw MemoryError for
+    # its 74.5 GiB array; n x m is bounded by n + m, which the callers'
+    # bound on R_q(G)'s n + mq nodes already caps
+    with pytest.raises(SizeLimitError) as info:
+        getattr(star_graph(99999), view)()
+    assert str(info.value) == (
+        f"{view} on {n} {size} exceeds the bound of {MAX_DENSE_NODES} {size}"
+    )
+
+
 @pytest.mark.parametrize("argv, what, n, bound", [
     # a raw _ArrayMemoryError for 74.5 GiB from np.eye in hitting_oracle
     (["metrics", "--graph", "star:100000"], "hitting_oracle", 100001, MAX_DENSE_NODES),

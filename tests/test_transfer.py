@@ -362,8 +362,14 @@ def test_either_route_feeds_the_transfers(small_corpus):
 
 
 def test_q_validation(k3_summary):
-    with pytest.raises(InvalidQError):
-        transfer_additive(0, k3_summary)
+    # the one guard checks q for all nine public transfers
+    scalar = (transfer_kemeny, transfer_kirchhoff, transfer_additive, transfer_multiplicative,
+              new_old_resistance_sum, new_pair_resistance_sum, transferred_summary)
+    calls = [(fn, ()) for fn in scalar] + [(transfer_hitting, (1, 2)), (transfer_resistance, (1, 2))]
+    for fn, nodes in calls:
+        for q in (0, -1, 1.5, True, None):
+            with pytest.raises(InvalidQError):
+                fn(q, k3_summary, *nodes)
 
 
 def test_all_cases_vs_oracle(small_corpus):
@@ -470,3 +476,33 @@ def test_non_finite_transfer_is_typed(fn, x):
         fn(2, replace(FLOAT_K3, **{_READS[fn]: x}))
     assert str(info.value) == f"{fn.__name__} at q=2 exceeds the float range"
     assert type(fn(2, FLOAT_K3)) is float and type(fn(2, K2)) is Fraction
+
+
+@pytest.mark.parametrize("x", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("field", ["additive", "multiplicative"])
+def test_non_finite_pair_sum_names_transfer_kirchhoff(field, x):
+    # transfer_kirchhoff called the guarded pair sums, so the error named
+    # new_old_resistance_sum or new_pair_resistance_sum
+    with pytest.raises(trispectra.FloatOverflowError) as info:
+        transfer_kirchhoff(2, replace(FLOAT_K3, **{field: x}))
+    assert str(info.value) == "transfer_kirchhoff at q=2 exceeds the float range"
+
+
+#: each two-node transfer, the matrix it reads, and nodes whose value reads
+#: entry [0, 1] of it: with one non-finite entry no numpy sum overflows or
+#: meets inf - inf, which would warn before the guard sees the result
+_NODE_READS = {transfer_hitting: ("hitting", (4, 2)), transfer_resistance: ("resistance", (1, 2))}
+
+
+@pytest.mark.parametrize("x", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("fn", list(_NODE_READS), ids=lambda fn: fn.__name__)
+def test_non_finite_two_node_transfer_is_typed(k3_summary, fn, x):
+    # both returned the NaN or the inf
+    matrix, (a, b) = _NODE_READS[fn]
+    entries = getattr(k3_summary, matrix).copy()
+    entries[0, 1] = x
+    with pytest.raises(trispectra.FloatOverflowError) as info:
+        fn(2, replace(k3_summary, **{matrix: entries}), a, b)
+    assert str(info.value) == f"{fn.__name__} at q=2 exceeds the float range"
+    assert np.isfinite(fn(2, k3_summary, a, b))
+    assert fn(q=2, summary=k3_summary, a=a, b=b) == fn(2, k3_summary, a, b)
