@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from operator import index
 
 import numpy as np
@@ -54,9 +55,9 @@ class Graph:
     @cached_property
     def _ends(self) -> np.ndarray:
         """(m, 2) array of 0-based edge endpoints, row e-1 for edge e."""
-        ends = np.array(self.edges, dtype=np.int64).reshape(-1, 2) - 1
+        ends = np.fromiter(chain.from_iterable(self.edges), np.int64, 2 * self.m) - 1
         ends.setflags(write=False)
-        return ends
+        return ends.reshape(-1, 2)
 
     @cached_property
     def degrees(self) -> np.ndarray:
@@ -67,19 +68,23 @@ class Graph:
 
     @cached_property
     def _colours(self) -> np.ndarray:
-        """BFS 2-colouring from node 1, one level at a time over the edge
-        array: the parity of each reached node's distance from node 1,
-        and -1 for each node not reached."""
-        colours = np.full(self.n, -1)
+        """2-colouring by a depth-first search from node 1, linear in n + m:
+        the parity of each reached node's depth in the search, and -1 for
+        each node not reached.  Depth parity is distance parity only on a
+        bipartite graph; on any other only the reach flags mean anything."""
+        ends = self._ends.ravel()
+        near = ends[np.argsort(ends, kind="stable") ^ 1]  # neighbours, grouped by node
+        bounds = np.concatenate(([0], np.cumsum(np.bincount(ends, minlength=self.n))))
+        colours = bytearray(b"\xff") * self.n  # 0xff, read as int8: -1, not reached
         colours[0] = 0
-        u, v = self._ends.T
-        level, frontier = 0, colours == 0
-        while frontier.any():
-            level += 1
-            reached = np.zeros(self.n, dtype=bool)
-            reached[v[frontier[u]]] = reached[u[frontier[v]]] = True
-            frontier = reached & (colours < 0)
-            colours[frontier] = level % 2
+        stack = [0]
+        while stack:
+            x = stack.pop()
+            for y in near[bounds[x] : bounds[x + 1]].tolist():
+                if colours[y] == 0xFF:
+                    colours[y] = 1 - colours[x]
+                    stack.append(y)
+        colours = np.frombuffer(colours, np.int8)
         colours.setflags(write=False)
         return colours
 
@@ -147,8 +152,7 @@ def build_graph(n: int, edges) -> Graph:
     n = _count(n, "node count")
     if n < 1:
         raise EmptyGraphError(f"node count must be >= 1, got {n}")
-    canon = []
-    seen = set()
+    canon = {}  # edges as an ordered set; sorting it into a list frees it
     for raw in edges:
         try:
             i, j = raw
@@ -161,16 +165,15 @@ def build_graph(n: int, edges) -> Graph:
             raise SelfLoopError(f"self-loop at node {i}")
         if not (1 <= i <= n and 1 <= j <= n):
             raise GraphError(f"edge ({i},{j}) has endpoint outside 1..{n}")
-        e = (min(i, j), max(i, j))
-        if e in seen:
+        e = (i, j) if i < j else (j, i)
+        if e in canon:
             raise DuplicateEdgeError(f"duplicate edge {e}")
-        seen.add(e)
-        canon.append(e)
+        canon[e] = None
     if len(canon) < n - 1:  # caught before anything of size n is allocated
         raise DisconnectedError(
             f"graph is disconnected: {n} nodes need at least {n - 1} edges, got {len(canon)}"
         )
-    canon.sort()
+    canon = sorted(canon)
     g = Graph(n=n, edges=tuple(canon))
     unreached = np.flatnonzero(g._colours < 0)
     if unreached.size:
@@ -183,7 +186,7 @@ def build_graph(n: int, edges) -> Graph:
 
 
 def is_bipartite(g: Graph) -> bool:
-    """True iff g has a proper 2-colouring, read off the BFS colouring
+    """True iff g has a proper 2-colouring, read off the search colouring
     ``g._colours``: no edge joins two nodes of one colour."""
     colour = g._colours
     return bool((colour[g._ends[:, 0]] != colour[g._ends[:, 1]]).all())

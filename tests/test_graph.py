@@ -1,8 +1,12 @@
+import io
+import time
+
 import numpy as np
 import pytest
 
 import trispectra
 from trispectra import verify
+from trispectra.cli import main
 from trispectra.errors import (
     DisconnectedError,
     DuplicateEdgeError,
@@ -12,6 +16,7 @@ from trispectra.errors import (
 )
 from trispectra.graph import (
     EdgeListParseError,
+    Graph,
     build_graph,
     builtin_graph,
     complete_graph,
@@ -243,18 +248,21 @@ def _check_against_networkx(nx, n, edges):
     """build_graph's connectivity verdict, its reason (too few edges for
     n nodes, else the lowest unreached node), and is_bipartite's verdict,
     against networkx; on a bipartite graph also the 2-colouring
-    ``_colours`` that kernel_sum_residual reads."""
+    ``_colours`` that kernel_sum_residual reads, and on a disconnected
+    one the reach flags of ``_colours`` on a raw, unvalidated Graph."""
     ref = nx.Graph()
     ref.add_nodes_from(range(1, n + 1))
     ref.add_edges_from(edges)
     if not nx.is_connected(ref):
+        component = nx.node_connected_component(ref, 1)
         if len(edges) < n - 1:
             reason = f"{n} nodes need at least {n - 1} edges, got {len(edges)}"
         else:
-            lowest = min(set(ref) - nx.node_connected_component(ref, 1))
-            reason = f"node {lowest} unreachable from node 1"
+            reason = f"node {min(set(ref) - component)} unreachable from node 1"
         with pytest.raises(DisconnectedError, match=f"^graph is disconnected: {reason}$"):
             build_graph(n, edges)
+        raw = Graph(n=n, edges=tuple(sorted((min(e), max(e)) for e in edges)))
+        assert (raw._colours >= 0).tolist() == [v in component for v in range(1, n + 1)]
         return False
     g = build_graph(n, edges)
     flag = is_bipartite(g)
@@ -280,3 +288,36 @@ def test_structure_matches_networkx(acceptance_corpus):
         p = rng.uniform(0.05, 0.6)
         connected.append(_check_against_networkx(nx, n, [e for e in pairs if rng.random() < p]))
     assert 30 <= sum(connected) <= 270
+
+
+def test_long_paths_cycles_and_stars_match_networkx():
+    # the shapes that the size bounds admit at 2**21 nodes, here at up to
+    # 501 nodes: as built, with their nodes shuffled so that the search
+    # starts anywhere along them, and with one more node that nothing reaches
+    nx = pytest.importorskip("networkx")
+    rng = np.random.default_rng(29)
+    for n in (2, 3, 4, 500, 501):
+        for g in (path_graph(n), cycle_graph(max(n, 3)), star_graph(n - 1)):
+            label = np.concatenate([[0], rng.permutation(g.n) + 1])
+            shuffled = [(int(label[i]), int(label[j])) for i, j in g.edges]
+            for size, edges in ((g.n, g.edges), (g.n, shuffled), (g.n + 1, g.edges)):
+                assert _check_against_networkx(nx, size, edges) == (size == g.n)
+
+
+@pytest.mark.parametrize("name", ["path:100000", "cycle:100000"])
+def test_long_path_and_cycle_build_in_linear_time(name):
+    # the colouring swept every edge once per BFS level, so each of these
+    # took about 30 s; a search takes about 0.1 s
+    start = time.perf_counter()
+    g = builtin_graph(name)
+    assert time.perf_counter() - start < 2.0
+    assert np.array_equal(g._colours, np.arange(g.n) % 2)
+
+
+def test_long_path_metrics_refused_fast(capsys):
+    # the build took about 30 s before the size bound was reached
+    start = time.perf_counter()
+    assert main(["metrics", "--graph", "path:100000"], out=io.StringIO()) == 2
+    assert time.perf_counter() - start < 5.0
+    assert capsys.readouterr() == ("", "error: SizeLimitError: hitting_oracle on 100000 "
+                                   "nodes exceeds the bound of 4096 nodes\n")
