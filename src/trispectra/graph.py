@@ -243,26 +243,26 @@ def format_edge_list(g: Graph) -> str:
 
 def complete_graph(n: int) -> Graph:
     n = _count(n, "node count")
-    return build_graph(n, [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)])
+    return build_graph(n, ((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)))
 
 
 def cycle_graph(n: int) -> Graph:
     if _count(n, "node count") < 3:
         raise EmptyGraphError("cycle needs at least 3 nodes")
-    return build_graph(n, [(i, i + 1) for i in range(1, n)] + [(1, n)])
+    return build_graph(n, chain(((i, i + 1) for i in range(1, n)), [(1, n)]))
 
 
 def path_graph(n: int) -> Graph:
     if _count(n, "node count") < 2:
         raise EmptyGraphError("path needs at least 2 nodes")
-    return build_graph(n, [(i, i + 1) for i in range(1, n)])
+    return build_graph(n, ((i, i + 1) for i in range(1, n)))
 
 
 def star_graph(n: int) -> Graph:
     """Star with center node 1 and n leaves (n+1 nodes total)."""
     if _count(n, "leaf count") < 1:
         raise EmptyGraphError("star needs at least 1 leaf")
-    return build_graph(n + 1, [(1, j) for j in range(2, n + 2)])
+    return build_graph(n + 1, ((1, j) for j in range(2, n + 2)))
 
 
 def builtin_graph(name: str) -> Graph:

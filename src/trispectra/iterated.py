@@ -4,45 +4,22 @@ pseudofractal scale-free web specialization (iterates of the triangle).
 Each form is multiplied through by p, a power of its growth ratios'
 denominator, so every term is a big integer times a small-denominator
 Fraction, and the division by p at the end is the one normalisation per
-value.  Exact summaries give exact results; a float summary is evaluated
-exactly (a float is a Fraction) and rounded once to a float.  At k = 0
-every ratio power is 1, so each correction term vanishes and the base
-value comes back unchanged.  The multiplicative index is 2m times
-Kemeny's constant on every connected graph, so it is derived from
-Kemeny's closed form, not written again (at k = 0 it gives the summary's
-2m Kemeny).
+value.  A float summary is evaluated exactly (a float is a Fraction); the
+transfers' guard, which wraps each form, rounds the value once to a float,
+checks q and k and owns the float range.  At k = 0 every ratio power is 1,
+so each correction term vanishes and the base value comes back unchanged.
+The multiplicative index is 2m Kemeny on every connected graph, so it is
+derived from Kemeny's closed form, not written again (at k = 0 it gives
+the summary's 2m Kemeny).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 
 from .errors import FloatOverflowError, GraphError, check_k, check_q
-from .metrics import INDICES, GraphSummary
-
-
-def _float_range(closed_form):
-    """Validate q and k, round a float summary's exact result once to a
-    float, and turn its way out of the float range (a result too large
-    for a float, or a field read that is inf or NaN) into
-    FloatOverflowError naming the closed form, q and k."""
-
-    @functools.wraps(closed_form)
-    def wrapper(summary, q, k):
-        q, k = check_q(q), check_k(k)
-        try:
-            value = closed_form(summary, q, k)
-            if any(isinstance(getattr(summary, name), float) for name in INDICES):
-                value = float(value)
-        except (OverflowError, ValueError):  # Fraction(nan) is a ValueError
-            raise FloatOverflowError(
-                f"{closed_form.__name__} at q={q}, k={k} exceeds the float range"
-            ) from None
-        return value
-
-    return wrapper
+from .transfer import GraphSummary, _guarded
 
 
 def _powers(q: int, k: int, *ratios: Fraction):
@@ -55,7 +32,7 @@ def _powers(q: int, k: int, *ratios: Fraction):
     return ((2 * q + 1) ** k, d**k, *(int(r * d) ** k for r in ratios))
 
 
-@_float_range
+@_guarded
 def iterated_kemeny(summary: GraphSummary, q: int, k: int):
     """Kemeny's constant after k iterations."""
     n, m = summary.n, summary.m
@@ -67,7 +44,7 @@ def iterated_kemeny(summary: GraphSummary, q: int, k: int):
     ) / p
 
 
-@_float_range
+@_guarded
 def iterated_multiplicative(summary: GraphSummary, q: int, k: int):
     """Multiplicative degree-Kirchhoff index after k iterations:
     Kf* = 2m Kemeny on every connected graph, and the iterate has
@@ -84,7 +61,7 @@ def iterated_multiplicative(summary: GraphSummary, q: int, k: int):
     return 2 * summary.m * (2 * q + 1) ** k * iterated_kemeny.__wrapped__(summary, q, k)
 
 
-@_float_range
+@_guarded
 def iterated_additive(summary: GraphSummary, q: int, k: int):
     """Additive degree-Kirchhoff index after k iterations."""
     n, m = summary.n, summary.m
@@ -111,7 +88,7 @@ def iterated_additive(summary: GraphSummary, q: int, k: int):
     ) / p
 
 
-@_float_range
+@_guarded
 def iterated_kirchhoff(summary: GraphSummary, q: int, k: int):
     """Kirchhoff index after k iterations."""
     n, m = summary.n, summary.m
@@ -182,12 +159,12 @@ def _pseudofractal_numerators(q: int, k: int, t: int, p: int):
     return 24 * u * u * v * p, kem, add, kir
 
 
+@_guarded
 def pseudofractal_metrics(q: int, k: int):
     """The indices of the k-th pseudofractal web built with parameter q,
     in PSEUDOFRACTAL_ORDER, as Fractions normalised by one gcd each: up to
     k of about 1000 that is cheaper than a Fraction chain's gcds against
     small integers, one per step."""
-    q, k = check_q(q), check_k(k)
     t = (2 * q + 1) ** k
     den, kem, add, kir = _pseudofractal_numerators(q, k, t, (q + 2) ** k)
     kem = Fraction(kem, den)

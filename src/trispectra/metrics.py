@@ -30,15 +30,16 @@ class GraphSummary:
     """The quantities of G that the transfer formulas read.
 
     The four INDICES may be floats, ints, Fractions or numpy reals, NaN
-    and inf included.  ``hitting`` and ``resistance`` (full n x n
-    matrices of G, 0-based numpy arrays) and ``graph`` (G itself, whose
-    canonical edge e is ``graph.edges[e - 1]``) are only needed for the
-    two-node transfers.  GraphError, naming the field, unless n and m are
-    integers with n >= 2 and n - 1 <= m <= n(n-1)/2 (a connected simple
-    graph), each index is a real number and not a bool, ``graph`` is a
-    Graph with these n and m and each matrix has shape (n, n).  n and m
-    are kept as Python ints, so that no product of counts in a closed
-    form overflows.
+    and inf included; a numpy real is kept as the Python float or int of
+    it, so a longdouble rounds to a double.  ``hitting`` and
+    ``resistance`` (full n x n matrices of G, 0-based numpy arrays) and
+    ``graph`` (G itself, whose canonical edge e is ``graph.edges[e - 1]``)
+    are only needed for the two-node transfers.  GraphError, naming the
+    field, unless n and m are integers with n >= 2 and
+    n - 1 <= m <= n(n-1)/2 (a connected simple graph), each index is a
+    real number and not a bool, ``graph`` is a Graph with these n and m
+    and each matrix has shape (n, n).  n and m are kept as Python ints,
+    so that no product of counts in a closed form overflows.
     """
 
     n: int
@@ -65,6 +66,8 @@ class GraphSummary:
             # the concrete types first: the Real ABC's check is slow
             if type(x) is bool or not isinstance(x, (float, int, Fraction, Real)):
                 raise GraphError(f"{name} must be a real number, got {x!r}")
+            if isinstance(x, np.generic):
+                self.__dict__[name] = float(x) if isinstance(x, np.floating) else int(x)
         g = self.graph
         if g is not None and not (isinstance(g, Graph) and (g.n, g.m) == (n, m)):
             raise GraphError(f"graph must be a Graph with n = {n} and m = {m}")

@@ -5,18 +5,21 @@ record that ``compute_metrics`` returns for either route; the
 triangulation graph is never constructed or decomposed.  Rational
 coefficients are built with ``fractions.Fraction``, so a summary with
 Fraction scalars gives exact rational outputs and one with floats 64-bit
-ones.  One guard wraps every public transfer, two-node ones included: it
-checks q, and a float result out of the float range is FloatOverflowError.
+ones.  ``_guarded``, the one guard of every closed form here and in
+:mod:`trispectra.iterated`, checks q and k, rounds an exact value of a
+float summary once to a float and owns the float range.
 """
 
 from __future__ import annotations
 
 import functools
+import inspect
 import math
 from fractions import Fraction
 
-from .errors import FloatOverflowError, InvalidNodeRefError, SameNodeError, check_q, is_index
-from .metrics import GraphSummary
+from .errors import (FloatOverflowError, InvalidNodeRefError, SameNodeError, check_k, check_q,
+                     is_index)
+from .metrics import INDICES, GraphSummary
 from .triangulation import new_node_generator
 
 
@@ -39,21 +42,35 @@ def _generators(q: int, summary: GraphSummary, matrix: str, a, b):
     return generator(a), generator(b)
 
 
-def _guarded(transfer):
-    """Every transfer's one guard: InvalidQError unless q is a positive
-    integer, checked first, then FloatOverflowError naming the transfer and
-    q in place of an OverflowError or of a float result that is inf or NaN.
-    A transfer built from others calls their unguarded ``__wrapped__``."""
+def _guarded(form):
+    """Every closed form's one guard: InvalidQError, then InvalidKError,
+    unless q (and k, where the form takes one) is valid, before the form
+    runs; a Fraction value rounded once to a float if the summary has a float
+    index; and FloatOverflowError naming the form, q and k for an
+    OverflowError, the ValueError of Fraction(nan) or a float inf or NaN."""
+    signature = inspect.signature(form)
+    checked = [(at, name) for at, name in enumerate(signature.parameters) if name in ("q", "k")]
 
-    @functools.wraps(transfer)
-    def wrapper(q, summary, *nodes, **named):
-        q = check_q(q)
+    @functools.wraps(form)
+    def wrapper(*args, **named):
+        if named or len(args) != len(signature.parameters):  # TypeError unless each is given once
+            args = signature.bind(*args, **named).args
+        args = [*args]
+        for at, name in checked:
+            args[at] = check_q(args[at]) if name == "q" else check_k(args[at])
         try:
-            value = transfer(q, summary, *nodes, **named)
-        except OverflowError:
+            value = form(*args)
+            if isinstance(value, Fraction) and any(
+                    isinstance(getattr(s, i), float)
+                    for s in args if isinstance(s, GraphSummary) for i in INDICES):
+                value = float(value)
+        except (OverflowError, ValueError) as exc:
+            if isinstance(exc, ValueError) and str(exc) != "cannot convert NaN to integer ratio":
+                raise  # the one ValueError turned is Fraction(nan)'s
             value = math.inf
         if isinstance(value, float) and not math.isfinite(value):
-            raise FloatOverflowError(f"{transfer.__name__} at q={q} exceeds the float range")
+            at = ", ".join(f"{name}={args[at]}" for at, name in checked)
+            raise FloatOverflowError(f"{form.__name__} at {at} exceeds the float range")
         return value
 
     return wrapper

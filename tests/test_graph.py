@@ -146,6 +146,22 @@ def test_builder_takes_numpy_sizes(builder):
         builder(np.int64(0))
 
 
+@pytest.mark.parametrize("builder", _BUILDERS, ids=lambda b: b.__name__)
+def test_builder_streams_its_edges(monkeypatch, builder):
+    # each builder passed a list, so at 2^21 nodes two lists of tuples were
+    # alive at once: the builder's and build_graph's canonical copy
+    passed = []
+
+    def recording(n, edges):
+        passed.append(edges)
+        return build_graph(n, edges)
+
+    monkeypatch.setattr(trispectra.graph, "build_graph", recording)
+    g = builder(5)
+    assert len(passed) == 1 and iter(passed[0]) is passed[0]
+    assert g == build_graph(g.n, g.edges)
+
+
 def test_degree_sum_is_2m(small_corpus):
     for g, _ in small_corpus:
         assert g.degrees.sum() == 2 * g.m

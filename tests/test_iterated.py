@@ -325,3 +325,34 @@ def test_pseudofractal_rows_stop_at_kmax_and_check_arguments():
         next(pseudofractal_rows(0, -1))
     with pytest.raises(InvalidQError):
         next(pseudofractal_rows(0, 3))
+
+
+_GUARDED = (*_FORMS, pseudofractal_metrics)
+
+
+@pytest.mark.parametrize("fn", _GUARDED, ids=lambda fn: fn.__name__)
+def test_keyword_and_numpy_integer_arguments(fn):
+    """Every guarded form takes q and k (and the summary) by position or by
+    name, as Python or numpy integers, and checks them either way."""
+    base = () if fn is pseudofractal_metrics else (TRIANGLE_BASE,)
+    named = {} if fn is pseudofractal_metrics else {"summary": TRIANGLE_BASE}
+    want = fn(*base, 2, 3)
+    assert fn(*base, q=2, k=3) == want
+    assert fn(**named, k=3, q=2) == want
+    assert fn(*base, np.int64(2), k=np.int32(3)) == want
+    with pytest.raises(InvalidQError):
+        fn(*base, q=0, k=3)
+    with pytest.raises(InvalidKError):
+        fn(**named, q=np.int64(2), k=-1)
+    for bad, extra in (((), {}), ((2,), {}), ((2, 3, 4), {}), ((2, 3), {"q": 2}),
+                       ((2, 3), {"j": 1})):
+        with pytest.raises(TypeError):
+            fn(*base, *bad, **extra)
+
+
+def test_keyword_overflow_names_the_form_q_and_k():
+    base = GraphSummary(n=3, m=3, kemeny=4 / 3, kirchhoff=2.0, additive=8.0, multiplicative=8.0)
+    with pytest.raises(trispectra.FloatOverflowError) as info:
+        iterated_kemeny(k=np.int64(1000), q=1, summary=base)
+    assert str(info.value) == "iterated_kemeny at q=1, k=1000 exceeds the float range"
+    assert info.value.__cause__ is None and info.value.__context__ is None

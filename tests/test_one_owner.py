@@ -14,7 +14,10 @@ and cli.py catches neither, so it rewrites no library error.  The
 transfers have one guard, which owns the check of q and the float range:
 only it calls ``check_q`` in transfer.py, it wraps every public function
 there, and a transfer built from others calls their ``__wrapped__``
-bodies."""
+bodies.  The same guard serves the iterated forms: src/ defines one
+``_guarded`` and no ``_float_range``, every public function of
+iterated.py but the row generator carries it, and no other function
+there checks q or k."""
 
 import ast
 from pathlib import Path
@@ -277,3 +280,59 @@ def test_transfer_guard_sees_each_finding():
 
 def test_transfers_have_one_guard():
     assert _scan_transfer(Path(transfer.__file__).read_text()) == []
+
+
+#: a generator overflows while it is iterated, after any decorator has
+#: returned, and its message names the row's k, so it checks its own
+_ROWS = "pseudofractal_rows"
+
+
+def _scan_iterated(source: str) -> list:
+    """The findings in ``source`` for iterated.py: "<name> unguarded" for
+    each public top-level function but _ROWS without the _GUARD decorator,
+    then in ``ast.walk`` order of each top-level definition <owner>:
+    "_float_range" for each definition, name or attribute lookup of it,
+    and "<check> in <owner>" for each call of check_q or check_k outside
+    _ROWS."""
+    tree = ast.parse(source)
+    found = [f"{f.name} unguarded" for f in tree.body
+             if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")
+             and f.name != _ROWS and _GUARD not in map(_name, f.decorator_list)]
+    for top in tree.body:
+        owner = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if (isinstance(node, ast.FunctionDef) and node.name == "_float_range"
+                    or isinstance(node, (ast.Name, ast.Attribute))
+                    and _name(node) == "_float_range"):
+                found.append("_float_range")
+            elif (isinstance(node, ast.Call) and _name(node.func) in ("check_q", "check_k")
+                  and owner != _ROWS):
+                found.append(f"{_name(node.func)} in {owner}")
+    return found
+
+
+def test_iterated_guard_sees_each_finding():
+    form = "@_guarded\ndef iterated_kemeny(summary, q, k):\n    return q\n"
+    rows = "def pseudofractal_rows(q, kmax):\n    kmax, q = check_k(kmax), check_q(q)\n"
+    assert _scan_iterated("from .transfer import _guarded\n" + form + rows) == []
+    assert _scan_iterated("@_float_range\ndef iterated_kemeny(summary, q, k):\n"
+                          "    return q\n") == ["iterated_kemeny unguarded", "_float_range"]
+    assert _scan_iterated("def _float_range(f):\n    return f\n" + form) == ["_float_range"]
+    assert _scan_iterated("@transfer._guarded\ndef f(q, k):\n    return q\n"
+                          "def _helper(q):\n    return q\n") == []
+    assert _scan_iterated("def pseudofractal_metrics(q, k):\n"
+                          "    q, k = check_q(q), errors.check_k(k)\n") == [
+        "pseudofractal_metrics unguarded",
+        "check_q in pseudofractal_metrics", "check_k in pseudofractal_metrics",
+    ]
+    assert _scan_iterated(form + "K = check_k(3)\n") == ["check_k in <module>"]
+
+
+def test_every_closed_form_has_the_one_guard():
+    assert _scan_iterated(Path(iterated.__file__).read_text()) == []
+    modules = sorted(Path(trispectra.__file__).parent.glob("*.py"))
+    assert len(modules) >= 10
+    defined = [f"{path.stem}.{node.name}" for path in modules
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.FunctionDef) and node.name in (_GUARD, "_float_range")]
+    assert defined == ["transfer._guarded"]

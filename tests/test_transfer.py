@@ -284,9 +284,75 @@ def test_summary_indices_must_be_real_numbers(field):
     for bad in ("x", "4/3", None, 1j, True, np.bool_(False)):
         with pytest.raises(GraphError, match=f"^{field} must be a real number, got "):
             replace(FLOAT_K3, **{field: bad})
-    for good in (2, 2.5, Fraction(5, 2), np.float64(2.5), np.float32(2.5), np.int64(2),
-                 np.nan, -np.inf):
-        assert getattr(replace(FLOAT_K3, **{field: good}), field) is good
+    # a numpy real is kept as the Python number of the same value
+    for good, kind in ((2, int), (2.5, float), (Fraction(5, 2), Fraction),
+                       (np.float64(2.5), float), (np.float32(2.5), float), (np.int64(2), int),
+                       (np.nan, float), (-np.inf, float), (np.float32(np.nan), float)):
+        got = getattr(replace(FLOAT_K3, **{field: good}), field)
+        assert type(got) is kind and (got == good or np.isnan(got) and np.isnan(good))
+
+
+#: each numpy real type, the value of every index cast to it, and the
+#: Python type the summary keeps
+_NUMPY_REALS = [(np.float16, 4 / 3, float), (np.float32, 4 / 3, float),
+                (np.float64, 4 / 3, float), (np.longdouble, 4 / 3, float), (np.int64, 2, int)]
+
+
+@pytest.mark.parametrize("cast, x, kind", _NUMPY_REALS,
+                         ids=[cast.__name__ for cast, _, _ in _NUMPY_REALS])
+def test_numpy_indices_give_the_values_of_python_numbers(cast, x, kind):
+    # float16 and float32 made iterated_kemeny and iterated_kirchhoff raise
+    # a raw TypeError from Fraction(); longdouble made transfer_kemeny and
+    # transferred_summary raise one from Fraction * longdouble
+    def summary(convert):
+        return GraphSummary(n=3, m=3, **{name: convert(cast(x)) for name in metrics.INDICES})
+
+    numpy, python = summary(lambda v: v), summary(kind)
+    assert all(type(getattr(numpy, name)) is kind for name in metrics.INDICES)
+    for fn, call in ((transfer_kemeny, lambda s: fn(2, s)),
+                     (iterated_kemeny, lambda s: fn(s, 2, 3)),
+                     (iterated_kirchhoff, lambda s: fn(s, 2, 3))):
+        got, want = call(numpy), call(python)
+        assert type(got) is type(want) and got == want, fn.__name__
+    got, want = transferred_summary(2, numpy), transferred_summary(2, python)
+    assert [getattr(got, name) for name in metrics.INDICES] == [
+        getattr(want, name) for name in metrics.INDICES]
+
+
+def test_mixed_summary_rounds_to_the_nearest_float():
+    # a Fraction Kemeny beside float indices gave a Fraction; the guard
+    # rounds it once, as the iterated forms did already
+    mixed = replace(FLOAT_K3, kemeny=Fraction(4, 3))
+    exact = replace(mixed, kirchhoff=Fraction(2), additive=Fraction(8), multiplicative=Fraction(8))
+    got = transfer_kemeny(2, mixed)
+    assert type(got) is float and got == float(transfer_kemeny(2, exact))
+    assert type(transfer_kemeny(2, exact)) is Fraction
+    assert type(transferred_summary(2, mixed).kemeny) is float
+    assert type(iterated_kemeny(mixed, 2, 3)) is float
+
+
+class _Bad:
+    """A matrix entry whose sum raises ``error``."""
+
+    def __init__(self, error):
+        self.error = error
+
+    def __add__(self, other):
+        raise self.error("bad entry")
+
+    __radd__ = __add__
+
+
+@pytest.mark.parametrize("error", [ValueError, TypeError, ZeroDivisionError])
+def test_other_exceptions_keep_their_type(error):
+    # the guard turns only Fraction(nan)'s ValueError, which a NaN index
+    # raises, into FloatOverflowError
+    hitting = np.full((3, 3), _Bad(error), dtype=object)
+    summary = replace(K3, hitting=hitting)
+    with pytest.raises(error, match="^bad entry$"):
+        transfer_hitting(2, summary, 4, 2)
+    with pytest.raises(error, match="^bad entry$"):
+        transfer_hitting(2, replace(summary, kemeny=np.nan), 4, 2)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
