@@ -9,13 +9,12 @@ blocks, and spectrum-lift tests are index-aligned for free.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
-    MAX_NODES, GraphError, InvalidNodeRefError, check_k, check_q, check_size, is_index,
+    MAX_NODES, InvalidNodeRefError, check_k, check_q, check_size, is_index,
 )
 from .graph import Graph
 
@@ -95,15 +94,10 @@ def iterate_triangulation(g: Graph, q: int, k: int) -> list:
 
 
 def predicted_counts(n: int, m: int, q: int, k: int):
-    """Exact node/edge counts of R_{q,k}(G) without construction.
+    """Exact node/edge counts of R_{q,k}(G) without construction, from
+    the term table.  GraphError unless a connected simple graph has n nodes
+    and m edges (GraphSummary's rule), then InvalidQError, InvalidKError."""
+    from .iterated import GraphSummary, _value  # iterated imports this module
 
-    m_{q,k} = (2q+1)^k m and n_{q,k} = m[(2q+1)^k - 1]/2 + n; the second
-    is integral because (2q+1)^k - 1 is even.
-    """
-    if not (is_index(n, math.inf) and is_index(m, math.inf)):
-        raise GraphError(f"node and edge counts must be positive integers, got {n!r}, {m!r}")
-    q = check_q(q)
-    k = check_k(k)
-    growth = (2 * q + 1) ** k
-    n, m = int(n), int(m)
-    return m * (growth - 1) // 2 + n, growth * m
+    summary, q, k = GraphSummary(n, m, 0, 0, 0, 0), check_q(q), check_k(k)
+    return int(_value(summary, q, k, "n")), int(_value(summary, q, k, "m"))

@@ -321,10 +321,14 @@ def test_pseudofractal_rows_equal_the_exact_form(q):
 def test_pseudofractal_rows_stop_at_kmax_and_check_arguments():
     assert [row[0] for row in pseudofractal_rows(2, 4)] == [0, 1, 2, 3, 4]
     assert list(pseudofractal_rows(np.int64(1), np.int64(0))) == [(0, 3, 3, 4 / 3, 8.0, 8.0, 2.0)]
-    with pytest.raises(InvalidKError):
-        next(pseudofractal_rows(0, -1))
+    # checked when called, q before k, as every guarded form checks them:
+    # the generator used to check k and then q at its first next()
     with pytest.raises(InvalidQError):
-        next(pseudofractal_rows(0, 3))
+        pseudofractal_rows(0, -1)
+    with pytest.raises(InvalidQError):
+        pseudofractal_rows(0, 5)
+    with pytest.raises(InvalidKError):
+        pseudofractal_rows(1, -1)
 
 
 _GUARDED = (*_FORMS, pseudofractal_metrics)

@@ -5,8 +5,10 @@ no module defines ``_incidence_rank`` or subscripts or unpacks what
 ``is_bipartite`` returns.  The lift has one code path for both parities:
 the only conditional in spectral.py is ``_gate``'s, and ``_lifted_values``
 reads G as numbers (eigenvalues, n, m, bipartite, q), not as a Spectrum.
-The pseudofractal numerators have one owner: ``pseudofractal_metrics``
-and the CLI's row generator both call ``_pseudofractal_numerators``, and
+The paper's iterated coefficients have one owner, the term table that
+iterated.py derives from the transfers: the iterated forms, the
+pseudofractal values and rows and ``predicted_counts`` read it, the
+hand-copied ``_powers`` and ``_pseudofractal_numerators`` are gone, and
 ``cmd_pseudofractal`` builds no row from the exact form or the counts.
 Each failure has one class, raised where it is decided: no module raises
 ValueError or OverflowError or names the deleted SingularSystemError,
@@ -23,7 +25,7 @@ import ast
 from pathlib import Path
 
 import trispectra
-from trispectra import cli, iterated, spectral, transfer
+from trispectra import cli, iterated, spectral, transfer, triangulation
 
 
 def _name(node):
@@ -130,47 +132,56 @@ def test_lift_has_one_code_path_for_both_parities():
     assert _scan_spectral(Path(spectral.__file__).read_text()) == []
 
 
-_ROW_CALLERS = ("pseudofractal_metrics", "pseudofractal_rows")
+#: what reads the term table, each by a call of one of _TABLE
+_READERS = ("iterated_kemeny", "iterated_additive", "iterated_kirchhoff",
+            "pseudofractal_metrics", "pseudofractal_rows", "predicted_counts")
+_TABLE = ("_value", "_terms")
+#: the hand-copied coefficients that the table replaced
+_DELETED = ("_powers", "_pseudofractal_numerators")
 _NOT_PER_ROW = ("pseudofractal_metrics", "predicted_counts")
 
 
-def _scan_pseudofractal(source: str) -> list:
-    """The findings in ``source`` for the pseudofractal table: "cmd calls
-    <name>" for each call of a _NOT_PER_ROW name in cmd_pseudofractal, then
-    "<name> without numerators" for each _ROW_CALLERS name that no
-    top-level definition of that name calls _pseudofractal_numerators in."""
+def _scan_table(source: str) -> list:
+    """The findings in ``source`` for the term table: "<name> defined" for
+    each definition of a _DELETED name, "cmd calls <name>" for each call of
+    a _NOT_PER_ROW name in cmd_pseudofractal, then "<name> without the
+    table" for each _READERS name that no top-level definition of that
+    name calls a _TABLE function in."""
     tree = ast.parse(source)
     calls = {f.name: {_name(node.func) for node in ast.walk(f) if isinstance(node, ast.Call)}
              for f in tree.body if isinstance(f, ast.FunctionDef)}
-    found = [f"cmd calls {name}" for name in _NOT_PER_ROW
-             if name in calls.get("cmd_pseudofractal", ())]
-    return found + [f"{name} without numerators" for name in _ROW_CALLERS
-                    if "_pseudofractal_numerators" not in calls.get(name, ())]
+    found = [f"{node.name} defined" for node in ast.walk(tree)
+             if isinstance(node, ast.FunctionDef) and node.name in _DELETED]
+    found += [f"cmd calls {name}" for name in _NOT_PER_ROW
+              if name in calls.get("cmd_pseudofractal", ())]
+    return found + [f"{name} without the table" for name in _READERS
+                    if not calls.get(name, set()) & set(_TABLE)]
 
 
-def test_pseudofractal_guard_sees_each_finding():
-    helper = "def _pseudofractal_numerators(q, k, t, p):\n    pass\n"
-    both = ("def pseudofractal_metrics(q, k):\n    return _pseudofractal_numerators(q, k, 1, 1)\n"
-            "def pseudofractal_rows(q, kmax):\n"
-            "    yield iterated._pseudofractal_numerators(q, 0, 1, 1)\n")
+def test_table_guard_sees_each_finding():
+    readers = "".join(f"def {name}(q, k):\n    return _value(q, k)\n" for name in _READERS[:-1])
+    counts = "def predicted_counts(n, m, q, k):\n    return iterated._terms(n, m)\n"
     rows = "def cmd_pseudofractal(args, out):\n    rows = list(pseudofractal_rows(args.q, 3))\n"
-    assert _scan_pseudofractal(helper + both + rows) == []
-    assert _scan_pseudofractal(
-        both + "def cmd_pseudofractal(args, out):\n"
+    assert _scan_table(readers + counts + rows) == []
+    assert _scan_table(
+        readers + counts + "def cmd_pseudofractal(args, out):\n"
         "    return [(*predicted_counts(3, 3, 1, k), *pseudofractal_metrics(1, k)) for k in ks]\n"
     ) == ["cmd calls pseudofractal_metrics", "cmd calls predicted_counts"]
-    assert _scan_pseudofractal(
-        rows + "def pseudofractal_metrics(q, k):\n    return Fraction(1, 2)\n"
-        "def pseudofractal_rows(q, kmax):\n    yield from map(pseudofractal_metrics, range(kmax))\n"
-    ) == ["pseudofractal_metrics without numerators", "pseudofractal_rows without numerators"]
-    assert _scan_pseudofractal("def f():\n    _pseudofractal_numerators(1, 1, 1, 1)\n") == [
-        "pseudofractal_metrics without numerators", "pseudofractal_rows without numerators",
+    assert _scan_table(
+        readers + "def _powers(q, k):\n    pass\n"
+        "def predicted_counts(n, m, q, k):\n    return n + m * ((2 * q + 1) ** k - 1) // 2\n"
+    ) == ["_powers defined", "predicted_counts without the table"]
+    assert _scan_table("def f():\n    def _pseudofractal_numerators(q, k, t, p):\n"
+                       "        pass\n    return _value(1, 1)\n") == [
+        "_pseudofractal_numerators defined",
+        *(f"{name} without the table" for name in _READERS),
     ]
 
 
-def test_pseudofractal_numerators_have_one_owner():
-    source = Path(cli.__file__).read_text() + Path(iterated.__file__).read_text()
-    assert _scan_pseudofractal(source) == []
+def test_term_table_has_one_owner():
+    source = "".join(Path(module.__file__).read_text()
+                     for module in (cli, iterated, triangulation))
+    assert _scan_table(source) == []
 
 
 _RAW = ("ValueError", "OverflowError")

@@ -154,7 +154,10 @@ def test_predicted_counts():
 
 
 def test_predicted_counts_rejects_bad_sizes():
-    for n, m in ((3.5, 3), (3, 3.0), (0, 3), (3, 0), (True, 3), ("3", 3)):
+    # no connected simple graph has these sizes: GraphSummary's rule
+    # n >= 2, n - 1 <= m <= n(n-1)/2; the last three used to give counts
+    for n, m in ((3.5, 3), (3, 3.0), (0, 3), (3, 0), (True, 3), ("3", 3),
+                 (3, 1), (2, 5), (1, 1)):
         with pytest.raises(GraphError):
             predicted_counts(n, m, 1, 1)
     assert predicted_counts(np.int64(3), np.int64(3), 1, 40) == predicted_counts(3, 3, 1, 40)
