@@ -128,7 +128,7 @@ def cmd_metrics(args, out) -> int:
         np.abs(spectral_report.resistance - oracle_report.resistance).max(),
         abs(spectral_report.kemeny - oracle_report.kemeny),
     )
-    foster = sum(oracle_report.resistance[i - 1, j - 1] for i, j in g.edges)
+    foster = sum(oracle_report.resistance[tuple(g._ends.T)])  # in edge order, not pairwise
     if args.format == "json":
         payload = {
             "n": g.n,

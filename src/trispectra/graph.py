@@ -3,7 +3,7 @@
 Nodes are numbered 1..n in all public interfaces.  Edges are kept in
 canonical lexicographic order by (min, max) endpoint, and "edge j"
 everywhere else in the library refers to position j (1-based) in that
-ordering.  Internal arrays are 0-based but never leak.
+ordering.  A Graph stores them once, in a 0-based array that never leaks.
 """
 
 from __future__ import annotations
@@ -35,29 +35,38 @@ class Graph:
 
     Immutable after construction; safe to share between threads.  Use
     :func:`build_graph` rather than the raw constructor, which performs
-    no validation.
+    no validation.  Graphs are equal, and hash alike, by n and edges.
 
     Attributes
     ----------
     n : int
         Node count; nodes are 1..n.
-    edges : tuple of (int, int)
-        m unordered pairs (i, j) with i < j, lexicographically sorted.
+    _ends : numpy.ndarray
+        The one edge store, read-only: (m, 2) int64, row e-1 the 0-based
+        endpoints i < j of edge e.  ``edges`` and every view derive from it.
     """
 
     n: int
-    edges: tuple
+    _ends: np.ndarray
+
+    def __post_init__(self):
+        self._ends.setflags(write=False)
+
+    def __eq__(self, other):
+        return (isinstance(other, Graph) and self.n == other.n
+                and np.array_equal(self._ends, other._ends))
+
+    def __hash__(self):
+        return hash((self.n, self._ends.tobytes()))
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self._ends)
 
     @cached_property
-    def _ends(self) -> np.ndarray:
-        """(m, 2) array of 0-based edge endpoints, row e-1 for edge e."""
-        ends = np.fromiter(chain.from_iterable(self.edges), np.int64, 2 * self.m) - 1
-        ends.setflags(write=False)
-        return ends.reshape(-1, 2)
+    def edges(self) -> tuple:
+        """The canonical pairs (i, j), i < j, as 1-based Python ints; built on first read."""
+        return tuple(zip(*(self._ends.T + 1).tolist()))
 
     @cached_property
     def degrees(self) -> np.ndarray:
@@ -84,9 +93,7 @@ class Graph:
                 if colours[y] == 0xFF:
                     colours[y] = 1 - colours[x]
                     stack.append(y)
-        colours = np.frombuffer(colours, np.int8)
-        colours.setflags(write=False)
-        return colours
+        return np.frombuffer(bytes(colours), np.int8)  # over immutable bytes: read-only
 
     # ---- matrix views -------------------------------------------------
 
@@ -174,7 +181,7 @@ def build_graph(n: int, edges) -> Graph:
             f"graph is disconnected: {n} nodes need at least {n - 1} edges, got {len(canon)}"
         )
     canon = sorted(canon)
-    g = Graph(n=n, edges=tuple(canon))
+    g = Graph(n=n, _ends=np.fromiter(chain.from_iterable(canon), np.int64).reshape(-1, 2) - 1)
     unreached = np.flatnonzero(g._colours < 0)
     if unreached.size:
         raise DisconnectedError(
@@ -233,9 +240,9 @@ def parse_edge_list(text: str) -> Graph:
 
 
 def format_edge_list(g: Graph) -> str:
-    lines = [f"{g.n} {g.m}"]
-    lines.extend(f"{i} {j}" for i, j in g.edges)
-    return "\n".join(lines) + "\n"
+    ends = g._ends + 1  # formatted 4096 rows at a time, so no Python int outlives its block
+    blocks = (ends[i : i + 4096].ravel().tolist() for i in range(0, g.m, 4096))
+    return f"{g.n} {g.m}\n" + "".join("%d %d\n" * (len(b) // 2) % tuple(b) for b in blocks)
 
 
 # ---- builtin graphs ---------------------------------------------------

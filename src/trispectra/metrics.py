@@ -33,9 +33,9 @@ class GraphSummary:
     and inf included; a numpy real is kept as the Python float or int of
     it, so a longdouble rounds to a double.  ``hitting`` and
     ``resistance`` (full n x n matrices of G, 0-based numpy arrays) and
-    ``graph`` (G itself, whose canonical edge e is ``graph.edges[e - 1]``)
-    are only needed for the two-node transfers.  GraphError, naming the
-    field, unless n and m are integers with n >= 2 and
+    ``graph`` (G itself, whose canonical edge e has the 0-based endpoints
+    ``graph._ends[e - 1]``) are only needed for the two-node transfers.
+    GraphError, naming the field, unless n and m are integers with n >= 2 and
     n - 1 <= m <= n(n-1)/2 (a connected simple graph), each index is a
     real number and not a bool, ``graph`` is a Graph with these n and m
     and each matrix has shape (n, n).  n and m are kept as Python ints,

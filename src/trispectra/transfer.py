@@ -36,8 +36,7 @@ def _generators(q: int, summary: GraphSummary, matrix: str, a, b):
         if is_index(x, summary.n):
             return x - 1, x - 1, 0
         e, _ = new_node_generator(summary.n, summary.m, q, x)
-        s, t = summary.graph.edges[e - 1]
-        return s - 1, t - 1, 1
+        return (*summary.graph._ends[e - 1].tolist(), 1)
 
     return generator(a), generator(b)
 

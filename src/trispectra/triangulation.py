@@ -61,35 +61,29 @@ def new_node_generator(n: int, m: int, q: int, x) -> tuple:
 def q_triangulate(g: Graph, q: int) -> TriangulationResult:
     """Construct R_q(G).
 
-    The canonical edge tuple comes straight from G's endpoint array: G's
-    edges, then (s, x) and (t, x) for each new node x of edge {s, t},
-    lexsorted.  R_q(G) of a valid G is simple and connected, so
-    build_graph's per-edge validation is skipped.  R_q(G)'s n + mq nodes
+    The endpoint array of R_q(G) comes straight from G's: G's edges,
+    then (s, x) and (t, x) for each new node x of edge {s, t}, lexsorted;
+    no edge tuple is built.  R_q(G) of a valid G is simple and connected,
+    so build_graph's per-edge validation is skipped.  R_q(G)'s n + mq nodes
     must lie within the array bound ``errors.MAX_NODES``.
     """
     q = check_q(q)
     n, m = g.n, g.m
     check_size(n + m * q, MAX_NODES, "q_triangulate")
     # copy f of edge e is node n + (f-1)m + e: copies of G's edge list in turn
-    new = np.arange(n + 1, n + m * q + 1)
-    s, t = np.tile(g._ends.T + 1, q)
-    low = np.concatenate([g._ends[:, 0] + 1, s, t])
-    high = np.concatenate([g._ends[:, 1] + 1, new, new])
-    order = np.lexsort((high, low))
-    edges = tuple(zip(low[order].tolist(), high[order].tolist()))
-    return TriangulationResult(result=Graph(n=n + m * q, edges=edges), base=g, q=q)
+    new = np.arange(n, n + m * q)
+    s, t = np.tile(g._ends.T, q)
+    ends = np.concatenate([g._ends, np.column_stack((s, new)), np.column_stack((t, new))])
+    ends = ends[np.lexsort(ends.T[::-1])]
+    return TriangulationResult(result=Graph(n=n + m * q, _ends=ends), base=g, q=q)
 
 
 def iterate_triangulation(g: Graph, q: int, k: int) -> list:
     """Apply q-triangulation k times; element j is R_{q,j+1}(G)."""
-    q = check_q(q)
-    k = check_k(k)
+    q, k = check_q(q), check_k(k)
     out = []
-    current = g
     for _ in range(k):
-        step = q_triangulate(current, q)
-        out.append(step)
-        current = step.result
+        out.append(q_triangulate(out[-1].result if out else g, q))
     return out
 
 

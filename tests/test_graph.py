@@ -277,7 +277,8 @@ def _check_against_networkx(nx, n, edges):
             reason = f"node {min(set(ref) - component)} unreachable from node 1"
         with pytest.raises(DisconnectedError, match=f"^graph is disconnected: {reason}$"):
             build_graph(n, edges)
-        raw = Graph(n=n, edges=tuple(sorted((min(e), max(e)) for e in edges)))
+        ends = np.array(sorted((min(e), max(e)) for e in edges), np.int64).reshape(-1, 2)
+        raw = Graph(n=n, _ends=ends - 1)
         assert (raw._colours >= 0).tolist() == [v in component for v in range(1, n + 1)]
         return False
     g = build_graph(n, edges)
