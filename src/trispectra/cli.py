@@ -17,11 +17,11 @@ import numpy as np
 
 from . import verify
 from .errors import ConvergenceFailure, EdgeListParseError, TrispectraError
-from .graph import builtin_graph, format_edge_list, parse_edge_list
+from .graph import _format_rows, builtin_graph, format_edge_list, parse_edge_list
 from .iterated import PSEUDOFRACTAL_ORDER, pseudofractal_rows
 from .metrics import INDICES, compute_metrics
 from .spectral import eigendecompose, lift_eigenvalues
-from .triangulation import new_node_generator, q_triangulate
+from .triangulation import q_triangulate
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -106,9 +106,7 @@ def cmd_triangulate(args, out) -> int:
     out.write(f"# R_{args.q}(G): {r.n} nodes, {r.m} edges\n")
     out.write(format_edge_list(r))
     out.write("# provenance: new_node generator_edge copy\n")
-    for x in tri.new_nodes:
-        e, f = new_node_generator(g.n, g.m, tri.q, x)
-        out.write(f"{x} {e} {f}\n")
+    out.write(_format_rows(tri.provenance))
     return EXIT_OK
 
 
@@ -123,12 +121,8 @@ def cmd_metrics(args, out) -> int:
                 w.writerow([_f12(x) for x in row])
         return EXIT_OK
     spectral_report = compute_metrics(g, "spectral")
-    max_dev = max(
-        np.abs(spectral_report.hitting - oracle_report.hitting).max(),
-        np.abs(spectral_report.resistance - oracle_report.resistance).max(),
-        abs(spectral_report.kemeny - oracle_report.kemeny),
-    )
-    foster = sum(oracle_report.resistance[tuple(g._ends.T)])  # in edge order, not pairwise
+    max_dev = max(c.deviation for c in verify.route_checks(g, spectral_report, oracle_report))
+    foster = verify.foster_sum(g, oracle_report.resistance)
     if args.format == "json":
         payload = {
             "n": g.n,
@@ -168,11 +162,11 @@ def cmd_spectrum(args, out) -> int:
 
 
 def cmd_transfer(args, out) -> int:
-    checks = verify.transfer_checks(_load_graph(args), args.q)
+    r = verify.suite_transfer([(_load_graph(args), args.q)], verify.DEFAULT_TOLERANCES["transfer"])
     out.write(f"{'quantity':<20}{'transfer':>20}{'oracle':>20}{'|rel dev|':>12}\n")
-    for c in checks:
+    for c in r.checks:
         out.write(f"{c.kind:<20}{_f12(c.got):>20}{_f12(c.want):>20}{c.deviation:>12.3e}\n")
-    out.write(f"max |deviation| (relative): {max(c.deviation for c in checks):.3e}\n")
+    out.write(f"max |deviation| (relative): {r.max_deviation:.3e}\n")
     return EXIT_OK
 
 

@@ -96,7 +96,7 @@ class SizeLimitError(TrispectraError):
 #: most nodes n of a graph whose n x n arrays are built: the two oracles,
 #: eigendecompose, Graph.adjacency_matrix, and R_q(G)'s in lift_spectrum
 #: and kernel_basis; one n x n float array at the bound takes 128 MiB.  It
-#: bounds n + m for Graph.incidence_matrix's n x m array
+#: bounds n + m for Graph.incidence_matrix's n x m array, and make_corpus's nmax
 MAX_DENSE_NODES = 4096
 
 #: most nodes of a graph whose node and edge arrays are built: n + mq in

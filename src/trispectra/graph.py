@@ -240,9 +240,14 @@ def parse_edge_list(text: str) -> Graph:
 
 
 def format_edge_list(g: Graph) -> str:
-    ends = g._ends + 1  # formatted 4096 rows at a time, so no Python int outlives its block
-    blocks = (ends[i : i + 4096].ravel().tolist() for i in range(0, g.m, 4096))
-    return f"{g.n} {g.m}\n" + "".join("%d %d\n" * (len(b) // 2) % tuple(b) for b in blocks)
+    return f"{g.n} {g.m}\n" + _format_rows(g._ends + 1)
+
+
+def _format_rows(rows) -> str:
+    """A line per integer row, 4096 rows at a time so no Python int outlives its block."""
+    line = " ".join(["%d"] * rows.shape[1]) + "\n"
+    blocks = (rows[i : i + 4096] for i in range(0, len(rows), 4096))
+    return "".join(line * len(b) % tuple(b.ravel().tolist()) for b in blocks)
 
 
 # ---- builtin graphs ---------------------------------------------------

@@ -30,15 +30,13 @@ class TriangulationResult:
     base : Graph
         The input graph G.
     q : int
+    provenance : numpy.ndarray
+        (mq, 3) int64 rows (x, e, f) in x order: new node x is copy f of edge e.
     """
 
     result: Graph
     base: Graph
     q: int
-
-    @property
-    def new_nodes(self) -> range:
-        return range(self.base.n + 1, self.base.n + self.base.m * self.q + 1)
 
     def new_node_index(self, edge: int, copy: int) -> int:
         """Index of the new node of generator edge 1..m and copy 1..q."""
@@ -47,6 +45,11 @@ class TriangulationResult:
                 f"no new node for edge {edge!r}, copy {copy!r} of R_{self.q}(G)"
             )
         return self.base.n + (copy - 1) * self.base.m + edge
+
+    @property
+    def provenance(self) -> np.ndarray:
+        f, e = np.divmod(np.arange(self.base.m * self.q), self.base.m)
+        return np.column_stack((self.base.n + 1 + f * self.base.m + e, e + 1, f + 1))
 
 
 def new_node_generator(n: int, m: int, q: int, x) -> tuple:

@@ -3,10 +3,10 @@
 Each suite pits a closed-form route against an independent oracle on a
 seeded corpus of random connected graphs.  Every comparison is one
 :class:`Check` record, and a :class:`SuiteResult` derives its count,
-worst deviation and reproducer from its checks.  The CLI `verify` and
-`transfer` subcommands and the mutation-sanity tests drive these
-functions; they look the closed forms up through their modules at call
-time, so a patched (deliberately broken) formula is picked up and
+worst deviation and reproducer from its checks.  The CLI `verify`,
+`transfer` and `metrics` subcommands and the mutation-sanity tests drive
+these functions; they look the closed forms up through their modules at
+call time, so a patched (deliberately broken) formula is picked up and
 flagged.
 """
 
@@ -20,7 +20,8 @@ from numbers import Real
 import numpy as np
 
 from . import iterated, metrics, spectral, transfer
-from .errors import DisconnectedError, TrispectraError, check_k, check_q, is_integer
+from .errors import (MAX_DENSE_NODES, DisconnectedError, TrispectraError, check_k, check_q,
+                     check_size, is_integer)
 from .graph import Graph, build_graph, complete_graph, is_bipartite, path_graph
 from .triangulation import q_triangulate
 
@@ -37,8 +38,8 @@ DEFAULT_TOLERANCES = {
 class Check:
     """One computed value against its reference.
 
-    ``case`` is the (graph, q) or (graph, q, k) the check ran on; it is
-    formatted only when the check is reported as a suite's worst.
+    ``case`` is the (graph,), (graph, q) or (graph, q, k) the check ran
+    on; it is formatted only when the check is reported as a suite's worst.
     """
 
     kind: str
@@ -57,9 +58,9 @@ class Check:
         return math.inf if math.isnan(dev) else dev
 
     def reproducer(self) -> str:
-        g, q, *k = self.case
-        at = f" k={k[0]}" if k else ""
-        return f"{self.kind} on n={g.n} m={g.m} q={q}{at} edges={list(g.edges)}"
+        g, *qk = self.case
+        at = "".join(f" {name}={v}" for name, v in zip("qk", qk))
+        return f"{self.kind} on n={g.n} m={g.m}{at} edges={list(g.edges)}"
 
 
 @dataclass(frozen=True)
@@ -119,13 +120,14 @@ def make_corpus(seed: int, trials: int, nmax: int, qmax: int,
                 bipartite_fraction: float = 0.4):
     """Deterministic list of (graph, q) trial cases; at least
     ``bipartite_fraction`` of the graphs are bipartite by construction.
-    Raises TrispectraError unless seed, trials and nmax are integers (not
-    bools) with seed >= 0, trials >= 1 and nmax >= 3, qmax is a valid q
-    and bipartite_fraction is a real number (not a bool) in [0, 1]."""
+    Raises TrispectraError unless seed, trials and nmax are integers (not bools)
+    with seed >= 0, trials >= 1 and 3 <= nmax <= MAX_DENSE_NODES, qmax is a
+    valid q and bipartite_fraction is a real number (not a bool) in [0, 1]."""
     qmax = check_q(qmax)
     if not all(is_integer(v) and v >= low for v, low in ((seed, 0), (trials, 1), (nmax, 3))):
         raise TrispectraError(f"corpus needs integers seed >= 0, trials >= 1 and nmax >= 3, "
                               f"got seed={seed!r}, trials={trials!r}, nmax={nmax!r}")
+    check_size(nmax, MAX_DENSE_NODES, "make_corpus")
     frac = bipartite_fraction
     if not (isinstance(frac, Real) and not isinstance(frac, bool) and 0 <= frac <= 1):
         raise TrispectraError(f"bipartite_fraction must be a real number in [0, 1], got {frac!r}")
@@ -165,45 +167,51 @@ def suite_spectrum_lift(cases, tol_eig: float, tol_resid: float):
     return SuiteResult("spectrum-lift", tol_eig, checks)
 
 
-def transfer_checks(g: Graph, q: int) -> list:
-    """Every transfer formula vs the oracle on the constructed R_q(G).
-
-    Covers all four directed hitting cases, all three resistance cases,
-    the four scalar indices, and the two intermediary sums.
-    """
-    summ = transfer.GraphSummary.from_graph(g)
-    tri = q_triangulate(g, q)
-    rep = metrics.compute_metrics(tri.result, "oracle")
-    res, n = rep.resistance, g.n
-    routes = {"hit": (transfer.transfer_hitting, rep.hitting),
-              "res": (transfer.transfer_resistance, res)}
-    # old nodes 1 and 2 (build_graph guarantees m >= 1), copy 1 of edge 1
-    # and copy q of edge m: two new nodes unless m = q = 1
-    x1, x2 = tri.new_node_index(1, 1), tri.new_node_index(g.m, q)
-    pairs = [
-        ("hit old/old", 1, 2), ("res old/old", 1, 2),
-        ("hit new/old", x1, 2), ("hit old/new", 2, x1), ("res new/old", x1, 2),
-        ("hit new/new", x1, x2), ("hit new/new reverse", x2, x1), ("res new/new", x1, x2),
-    ]
-    rows = []
-    for kind, a, b in pairs:
-        if a != b:
-            formula, matrix = routes[kind[:3]]
-            rows.append((kind, formula(q, summ, a, b), matrix[a - 1, b - 1]))
-    nxt = transfer.transferred_summary(q, summ)
-    rows += [(name, getattr(nxt, name), getattr(rep, name)) for name in metrics.INDICES]
-    rows += [
-        ("cross sum", transfer.new_old_resistance_sum(q, summ), res[n:, :n].sum()),
-        ("new-pair sum", transfer.new_pair_resistance_sum(q, summ),
-         np.triu(res[n:, n:], 1).sum()),
-    ]
-    return [Check(kind, got, want, (g, q)) for kind, got, want in rows]
-
-
 def suite_transfer(cases, tol: float):
-    """:func:`transfer_checks` on every case."""
-    checks = [c for g, q in cases for c in transfer_checks(g, q)]
+    """Every transfer formula vs the oracle on each constructed R_q(G): all
+    four directed hitting cases, all three resistance cases, the four scalar
+    indices, and the two intermediary sums."""
+    checks = []
+    for g, q in cases:
+        summ = transfer.GraphSummary.from_graph(g)
+        tri = q_triangulate(g, q)
+        rep = metrics.compute_metrics(tri.result, "oracle")
+        res, n = rep.resistance, g.n
+        routes = {"hit": (transfer.transfer_hitting, rep.hitting),
+                  "res": (transfer.transfer_resistance, res)}
+        # old nodes 1 and 2 (build_graph guarantees m >= 1), copy 1 of edge 1
+        # and copy q of edge m: two new nodes unless m = q = 1
+        x1, x2 = tri.new_node_index(1, 1), tri.new_node_index(g.m, q)
+        pairs = [
+            ("hit old/old", 1, 2), ("res old/old", 1, 2),
+            ("hit new/old", x1, 2), ("hit old/new", 2, x1), ("res new/old", x1, 2),
+            ("hit new/new", x1, x2), ("hit new/new reverse", x2, x1), ("res new/new", x1, x2),
+        ]
+        rows = []
+        for kind, a, b in pairs:
+            if a != b:
+                formula, matrix = routes[kind[:3]]
+                rows.append((kind, formula(q, summ, a, b), matrix[a - 1, b - 1]))
+        nxt = transfer.transferred_summary(q, summ)
+        rows += [(name, getattr(nxt, name), getattr(rep, name)) for name in metrics.INDICES]
+        rows += [
+            ("cross sum", transfer.new_old_resistance_sum(q, summ), res[n:, :n].sum()),
+            ("new-pair sum", transfer.new_pair_resistance_sum(q, summ),
+             np.triu(res[n:, n:], 1).sum()),
+        ]
+        checks += [Check(kind, got, want, (g, q)) for kind, got, want in rows]
     return SuiteResult("transfer-vs-oracle", tol, checks)
+
+
+def foster_sum(g: Graph, resistance) -> float:
+    """r summed over g's edges (n - 1 by Foster) as numpy floats, left to right in edge order."""
+    return sum(resistance[tuple(g._ends.T)])
+
+
+def route_checks(g: Graph, spec_rep, oracle_rep) -> list:
+    """The largest |spectral - oracle| of hitting, resistance and Kemeny, each against 0.0."""
+    return [Check(name, np.abs(getattr(spec_rep, name) - getattr(oracle_rep, name)).max(),
+                  0.0, (g,)) for name in ("hitting", "resistance", "kemeny")]
 
 
 def suite_identities(cases, tol: float):
@@ -213,16 +221,14 @@ def suite_identities(cases, tol: float):
     so it covers every new node of a further q-triangulation."""
     checks = []
     for g, q in cases:
-        tri = q_triangulate(g, q)
-        for tag, graph in (("G", g), ("Rq", tri.result)):
+        for tag, graph in (("G", g), ("Rq", q_triangulate(g, q).result)):
             rep = metrics.compute_metrics(graph, "oracle")
             hit, res = rep.hitting, rep.resistance
             spec = spectral.eigendecompose(graph)
-            foster = res[graph._ends[:, 0], graph._ends[:, 1]].sum()
             kem = metrics.kemeny(spec)
             pi = graph.stationary_distribution()
             rows = [
-                ("foster", foster, graph.n - 1),
+                ("foster", foster_sum(graph, res), graph.n - 1),
                 ("reciprocity", np.abs(2 * graph.m * res - (hit + hit.T)).max(), 0.0),
                 ("mult=2mK", 2 * graph.m * kem, rep.multiplicative),
                 ("kemeny start-independence", np.abs(hit @ pi - kem).max(), 0.0),

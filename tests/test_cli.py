@@ -19,12 +19,14 @@ from trispectra.cli import _write_json, main
 from trispectra.errors import ConvergenceFailure, TrispectraError
 from trispectra.graph import (
     EdgeListParseError, build_graph, complete_graph, cycle_graph, format_edge_list,
-    parse_edge_list,
+    parse_edge_list, path_graph,
 )
 from trispectra.iterated import pseudofractal_metrics
 from trispectra.metrics import compute_metrics
 from trispectra.spectral import eigendecompose, lift_eigenvalues, lift_spectrum
-from trispectra.triangulation import iterate_triangulation, predicted_counts
+from trispectra.triangulation import (
+    iterate_triangulation, new_node_generator, predicted_counts, q_triangulate,
+)
 from trispectra.verify import make_corpus
 
 from test_verify import _count
@@ -47,6 +49,21 @@ def test_triangulate_k3_header():
     code, text = run_cli(["triangulate", "--graph", "k3", "--q", "1"])
     assert code == 0
     assert "6 nodes, 9 edges" in text
+
+
+def test_triangulate_provenance_spans_blocks():
+    # 5998 new nodes: the provenance rows fill one 4096-row block and part
+    # of a second, and each row is new_node_generator's for its node
+    g = path_graph(3000)
+    code, text = run_cli(["triangulate", "--graph", "path:3000", "--q", "2"])
+    head, provenance = text.split("# provenance: new_node generator_edge copy\n")
+    new = range(g.n + 1, g.n + 2 * g.m + 1)
+    assert code == 0 and len(new) == 5998
+    r = q_triangulate(g, 2).result
+    assert head == f"# R_2(G): {r.n} nodes, {r.m} edges\n" + format_edge_list(r)
+    assert provenance == "".join(
+        "{} {} {}\n".format(x, *new_node_generator(g.n, g.m, 2, x)) for x in new
+    )
 
 
 def test_triangulate_parse_error(tmp_path, capsys):
@@ -327,6 +344,19 @@ def test_metrics_json_matrices_exact():
         assert routes[route]["hitting"] == rep.hitting.tolist()
         assert routes[route]["resistance"] == rep.resistance.tolist()
         assert routes[route]["kemeny"] == rep.kemeny
+
+
+def test_metrics_foster_sum_is_the_identity_suites(tmp_path):
+    # on R_{1,3}(K3), m = 81, numpy's pairwise sum of the edge resistances
+    # and Python's sum in edge order differ in the last bits, so the CLI and
+    # the suite agree only if they share one sum
+    web = iterate_triangulation(complete_graph(3), 1, 3)[-1].result
+    path = tmp_path / "web.txt"
+    path.write_text(format_edge_list(web))
+    code, text = run_cli(["metrics", "--input", str(path), "--format", "json"])
+    suite = verify.suite_identities([(web, 1)], verify.DEFAULT_TOLERANCES["identity"])
+    (foster,) = [c.got for c in suite.checks if c.kind == "foster G"]
+    assert code == 0 and json.loads(text)["foster_edge_sum"] == foster
 
 
 def test_transfer_rows_k3():

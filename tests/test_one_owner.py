@@ -19,13 +19,17 @@ there, and a transfer built from others calls their ``__wrapped__``
 bodies.  The same guard serves the iterated forms: src/ defines one
 ``_guarded`` and no ``_float_range``, every public function of
 iterated.py but the row generator carries it, and no other function
-there checks q or k."""
+there checks q or k.  The CLI keeps no second path: cli.py does no
+arithmetic of its own on the routes (no ``abs`` or ``sum``), takes the
+transfer rows from ``suite_transfer`` and the provenance rows from
+``TriangulationResult.provenance`` without a per-node loop, and src/ sums
+Foster's edge resistances in ``verify.foster_sum`` alone."""
 
 import ast
 from pathlib import Path
 
 import trispectra
-from trispectra import cli, iterated, spectral, transfer, triangulation
+from trispectra import cli, iterated, spectral, transfer, triangulation, verify
 
 
 def _name(node):
@@ -347,3 +351,76 @@ def test_every_closed_form_has_the_one_guard():
                for node in ast.walk(ast.parse(path.read_text()))
                if isinstance(node, ast.FunctionDef) and node.name in (_GUARD, "_float_range")]
     assert defined == ["transfer._guarded"]
+
+
+#: what cli.py leaves to the library: the routes' and Foster's arithmetic
+#: (``np.abs`` is an "abs" call) and the per-node provenance and transfer rows
+_CLI_CALLS = ("abs", "sum", "new_node_generator", "transfer_checks")
+
+
+def _scan_cli(source: str) -> list:
+    """The findings in ``source`` for cli.py in ``ast.walk`` order: "calls
+    <name>" for each call of a _CLI_CALLS name, and "loop in <owner>" for
+    each for loop or comprehension in cmd_triangulate."""
+    found = []
+    for top in ast.parse(source).body:
+        owner = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and _name(node.func) in _CLI_CALLS:
+                found.append(f"calls {_name(node.func)}")
+            elif owner == "cmd_triangulate" and isinstance(node, (ast.For, ast.comprehension)):
+                found.append(f"loop in {owner}")
+    return found
+
+
+def test_cli_guard_sees_each_finding():
+    assert _scan_cli("d = max(np.abs(a - b).max(), abs(k - l))") == ["calls abs", "calls abs"]
+    assert _scan_cli("def cmd_metrics(args, out):\n    f = sum(r[tuple(g._ends.T)])\n") == [
+        "calls sum",
+    ]
+    assert _scan_cli("def cmd_triangulate(args, out):\n    for x in tri.provenance:\n"
+                     "        e, f = new_node_generator(g.n, g.m, q, x)\n") == [
+        "loop in cmd_triangulate", "calls new_node_generator",
+    ]
+    assert _scan_cli("def cmd_triangulate(args, out):\n"
+                     "    out.write(''.join(f'{x}' for x in xs))\n") == ["loop in cmd_triangulate"]
+    assert _scan_cli("def cmd_transfer(args, out):\n"
+                     "    for c in verify.transfer_checks(g, q):\n        pass\n") == [
+        "calls transfer_checks",
+    ]
+    assert _scan_cli("def cmd_transfer(args, out):\n    r = verify.suite_transfer(cases, tol)\n"
+                     "    for c in r.checks:\n        pass\n"
+                     "    return max(c.deviation for c in r.checks)\n") == []
+
+
+def _scan_foster(source: str) -> list:
+    """The top-level definitions in ``source``, in order, that subscript a
+    resistance matrix (a name or attribute ``res`` or ``resistance``) with
+    an index that reads ``_ends``: each is a sum of Foster's theorem."""
+    found = []
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Subscript) and _name(node.value) in ("res", "resistance")
+                    and any(_name(sub) == "_ends" for sub in ast.walk(node.slice))):
+                found.append(getattr(top, "name", "<module>"))
+    return found
+
+
+def test_foster_guard_sees_each_finding():
+    assert _scan_foster("def cmd_metrics(args, out):\n"
+                        "    f = sum(report.resistance[tuple(g._ends.T)])\n") == ["cmd_metrics"]
+    assert _scan_foster("def suite(cases):\n"
+                        "    f = res[g._ends[:, 0], g._ends[:, 1]].sum()\n") == ["suite"]
+    assert _scan_foster("def adjacency(g):\n    a[g._ends[:, 0], g._ends[:, 1]] = 1\n"
+                        "def one(g):\n    return res[0, 1]\n") == []
+
+
+def test_cli_keeps_no_second_path():
+    assert _scan_cli(Path(cli.__file__).read_text()) == []
+    modules = sorted(Path(trispectra.__file__).parent.glob("*.py"))
+    assert len(modules) >= 10
+    found = [f"{path.stem}.{owner}" for path in modules
+             for owner in _scan_foster(path.read_text())]
+    assert found == ["verify.foster_sum"]
+    assert not hasattr(verify, "transfer_checks")
+    assert not hasattr(triangulation.TriangulationResult, "new_nodes")

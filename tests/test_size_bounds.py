@@ -99,8 +99,10 @@ def test_each_matrix_view_names_its_size(view, n, size):
      3 * 10**20 + 3, MAX_NODES),
     (["verify", "--graph", "k3", "--q", str(10**20)], "lift_spectrum",
      3 * 10**20 + 3, MAX_DENSE_NODES),
+    # a raw MemoryError from random_connected_graph's n(n-1)/2 candidate pairs
+    (["verify", "--trials", "1", "--nmax", "6000"], "make_corpus", 6000, MAX_DENSE_NODES),
 ], ids=["metrics-star", "spectrum-q1e12", "spectrum-q1e20", "transfer-q1e20",
-        "triangulate-q1e20", "verify-q1e20"])
+        "triangulate-q1e20", "verify-q1e20", "verify-nmax6000"])
 def test_oversized_cli_input_exits_2(argv, what, n, bound, capsys):
     out = io.StringIO()
     assert main(argv, out=out) == 2 and out.getvalue() == ""

@@ -86,8 +86,8 @@ def test_new_node_indexing_matches_block_structure():
     g = build_graph(4, [(1, 2), (2, 3), (3, 4), (1, 4), (1, 3)])
     q = 3
     tri = q_triangulate(g, q)
-    for x in tri.new_nodes:
-        e, f = new_node_generator(g.n, g.m, q, x)
+    for x, e, f in tri.provenance.tolist():
+        assert (e, f) == new_node_generator(g.n, g.m, q, x)
         assert x == g.n + (f - 1) * g.m + e == tri.new_node_index(e, f)
         s, t = g.edges[e - 1]
         assert set(np.flatnonzero(tri.result.adjacency_matrix()[x - 1]) + 1) == {s, t}
@@ -115,11 +115,16 @@ def test_degree_law_and_counts(small_corpus):
 
 
 def test_provenance_bijection(small_corpus):
-    # new_node_generator inverts new_node_index on every new node
+    # the provenance rows are new_node_generator's on every new node, in
+    # index order, and new_node_index inverts them
     for g, q in small_corpus:
         tri = q_triangulate(g, q)
-        pairs = [new_node_generator(g.n, g.m, q, x) for x in tri.new_nodes]
-        assert [tri.new_node_index(e, f) for e, f in pairs] == list(tri.new_nodes)
+        assert tri.provenance.shape == (g.m * q, 3) and tri.provenance.dtype == np.int64
+        x, e, f = tri.provenance.T.tolist()
+        pairs = list(zip(e, f))
+        assert x == list(range(g.n + 1, g.n + g.m * q + 1))
+        assert pairs == [new_node_generator(g.n, g.m, q, y) for y in x]
+        assert [tri.new_node_index(e, f) for e, f in pairs] == x
         assert set(pairs) == {(e, f) for e in range(1, g.m + 1) for f in range(1, q + 1)}
 
 

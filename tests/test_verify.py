@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from trispectra import graph, spectral, verify
+from trispectra import graph, metrics, spectral, verify
 from trispectra.errors import TrispectraError
 from trispectra.graph import is_bipartite
 
@@ -59,3 +59,28 @@ def test_make_corpus_takes_a_real_fraction_in_unit_interval():
     half = verify.make_corpus(1, 6, 5, 2, 0.5)
     assert verify.make_corpus(1, 6, 5, 2, Fraction(1, 2)) == half
     assert verify.make_corpus(1, 6, 5, 2, np.float64(0.5)) == half
+
+
+def test_reproducer_names_q_and_k_when_the_case_has_them():
+    g = graph.complete_graph(3)
+    edges = "edges=[(1, 2), (1, 3), (2, 3)]"
+    cases = ((g,), (g, 2), (g, 2, 4))
+    assert [verify.Check("x", 1.0, 0.0, case).reproducer() for case in cases] == [
+        f"x on n=3 m=3 {edges}", f"x on n=3 m=3 q=2 {edges}", f"x on n=3 m=3 q=2 k=4 {edges}",
+    ]
+
+
+def test_route_checks_are_the_largest_route_gaps():
+    # metrics' route deviation: three Checks on G alone, each the largest
+    # |spectral - oracle| against 0.0, so its deviation is that gap
+    g = graph.cycle_graph(5)
+    spec, oracle = (metrics.compute_metrics(g, route) for route in ("spectral", "oracle"))
+    checks = verify.route_checks(g, spec, oracle)
+    assert [(c.kind, c.want, c.case) for c in checks] == [
+        (name, 0.0, (g,)) for name in ("hitting", "resistance", "kemeny")
+    ]
+    assert [c.deviation for c in checks] == [
+        np.abs(spec.hitting - oracle.hitting).max(),
+        np.abs(spec.resistance - oracle.resistance).max(),
+        abs(spec.kemeny - oracle.kemeny),
+    ]
