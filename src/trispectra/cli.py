@@ -197,9 +197,8 @@ def cmd_pseudofractal(args, out) -> int:
     rows = list(pseudofractal_rows(args.q, args.kmax))
     names = ("k", "n", "m", *PSEUDOFRACTAL_ORDER)
     widths = (3, 10, 10) + (18,) * len(PSEUDOFRACTAL_ORDER)
-    if args.format == "json":  # json.dump(indent=2)'s bytes, each row by the C encoder
-        objects = (json.dumps(dict(zip(names, row)), separators=(",\n    ", ": ")) for row in rows)
-        out.write("[\n" + ",\n".join(f"  {{\n    {o[1:-1]}\n  }}" for o in objects) + "\n]\n")
+    if args.format == "json":
+        _write_json([dict(zip(names, row)) for row in rows], out)
         return EXIT_OK
     cells = [names] + [(*row[:3], *map(_f12, row[3:])) for row in rows]
     if args.format == "csv":

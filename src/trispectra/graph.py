@@ -33,9 +33,9 @@ from .errors import (
 class Graph:
     """Simple connected undirected graph.
 
-    Immutable after construction; safe to share between threads.  Use
-    :func:`build_graph` rather than the raw constructor, which performs
-    no validation.  Graphs are equal, and hash alike, by n and edges.
+    Immutable after construction; safe to share between threads.  The raw
+    constructor performs no validation; :func:`build_graph` validates an
+    edge list from outside.  Graphs are equal, and hash alike, by n and edges.
 
     Attributes
     ----------
@@ -255,26 +255,29 @@ def _format_rows(rows) -> str:
 
 def complete_graph(n: int) -> Graph:
     n = _count(n, "node count")
-    return build_graph(n, ((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)))
+    if n < 2:  # build_graph's messages for no nodes and for no edges
+        return build_graph(n, ())
+    return Graph(n, np.column_stack(np.triu_indices(n, 1)))
 
 
 def cycle_graph(n: int) -> Graph:
+    """Cycle 1, 2, ..., n; its closing edge (1, n) is edge 2 in canonical order."""
     if _count(n, "node count") < 3:
         raise EmptyGraphError("cycle needs at least 3 nodes")
-    return build_graph(n, chain(((i, i + 1) for i in range(1, n)), [(1, n)]))
+    return Graph(int(n), np.insert(path_graph(n)._ends, 1, (0, n - 1), axis=0))
 
 
 def path_graph(n: int) -> Graph:
     if _count(n, "node count") < 2:
         raise EmptyGraphError("path needs at least 2 nodes")
-    return build_graph(n, ((i, i + 1) for i in range(1, n)))
+    return Graph(int(n), np.arange(n - 1)[:, None] + np.arange(2))
 
 
 def star_graph(n: int) -> Graph:
     """Star with center node 1 and n leaves (n+1 nodes total)."""
     if _count(n, "leaf count") < 1:
         raise EmptyGraphError("star needs at least 1 leaf")
-    return build_graph(n + 1, ((1, j) for j in range(2, n + 2)))
+    return Graph(int(n) + 1, np.column_stack((np.zeros(n, np.int64), np.arange(1, n + 1))))
 
 
 def builtin_graph(name: str) -> Graph:

@@ -20,9 +20,8 @@ from numbers import Real
 import numpy as np
 
 from . import iterated, metrics, spectral, transfer
-from .errors import (MAX_DENSE_NODES, DisconnectedError, TrispectraError, check_k, check_q,
-                     check_size, is_integer)
-from .graph import Graph, build_graph, complete_graph, is_bipartite, path_graph
+from .errors import MAX_DENSE_NODES, TrispectraError, check_k, check_q, check_size, is_integer
+from .graph import Graph, complete_graph, is_bipartite, path_graph
 from .triangulation import q_triangulate
 
 DEFAULT_TOLERANCES = {
@@ -93,26 +92,20 @@ class SuiteResult:
 
 def random_connected_graph(rng, nmax: int, bipartite: bool) -> Graph:
     """One random simple connected graph with n <= nmax nodes, of the
-    requested parity of bipartiteness (by construction, then verified)."""
+    requested parity of bipartiteness (by construction, then verified);
+    a draw that is not connected is drawn again."""
     while True:
         if bipartite:
             n = int(rng.integers(2, nmax + 1))
             n1 = int(rng.integers(1, n))
-            candidates = [
-                (i, j) for i in range(1, n1 + 1) for j in range(n1 + 1, n + 1)
-            ]
+            i, j = np.mgrid[:n1, n1:n].reshape(2, -1)  # the candidate pairs, in edge order
         else:
             n = int(rng.integers(3, nmax + 1))
-            candidates = [
-                (i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
-            ]
+            i, j = np.triu_indices(n, 1)
         p = float(rng.uniform(0.3, 0.9))
-        edges = [e for e in candidates if rng.random() < p]
-        try:
-            g = build_graph(n, edges)
-        except DisconnectedError:
-            continue
-        if is_bipartite(g) == bipartite:
+        keep = rng.random(len(i)) < p  # one draw per candidate, in order
+        g = Graph(n, np.column_stack((i[keep], j[keep])))
+        if (g._colours >= 0).all() and is_bipartite(g) == bipartite:
             return g
 
 
@@ -137,6 +130,7 @@ def make_corpus(seed: int, trials: int, nmax: int, qmax: int,
         bip = trial / trials < bipartite_fraction
         g = random_connected_graph(rng, nmax, bip)
         q = trial % qmax + 1
+        check_size(g.n + g.m * q, MAX_DENSE_NODES, f"make_corpus trial {trial} at q={q}")
         cases.append((g, q))
     return cases
 
@@ -179,7 +173,7 @@ def suite_transfer(cases, tol: float):
         res, n = rep.resistance, g.n
         routes = {"hit": (transfer.transfer_hitting, rep.hitting),
                   "res": (transfer.transfer_resistance, res)}
-        # old nodes 1 and 2 (build_graph guarantees m >= 1), copy 1 of edge 1
+        # old nodes 1 and 2 (a valid graph has m >= 1), copy 1 of edge 1
         # and copy q of edge m: two new nodes unless m = q = 1
         x1, x2 = tri.new_node_index(1, 1), tri.new_node_index(g.m, q)
         pairs = [

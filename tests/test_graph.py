@@ -1,3 +1,4 @@
+import hashlib
 import io
 import time
 
@@ -146,20 +147,31 @@ def test_builder_takes_numpy_sizes(builder):
         builder(np.int64(0))
 
 
+#: the smallest size each builder accepts
+_SMALLEST = {complete_graph: 2, cycle_graph: 3, path_graph: 2, star_graph: 1}
+
+
 @pytest.mark.parametrize("builder", _BUILDERS, ids=lambda b: b.__name__)
-def test_builder_streams_its_edges(monkeypatch, builder):
-    # each builder passed a list, so at 2^21 nodes two lists of tuples were
-    # alive at once: the builder's and build_graph's canonical copy
-    passed = []
+def test_builder_equals_its_validated_edge_list(builder):
+    # the builders write the endpoint array themselves, so build_graph's
+    # checks are the independent witness of its order and validity
+    for size in (*range(_SMALLEST[builder], 65), 500, 501):
+        g = builder(size)
+        assert g == build_graph(g.n, g.edges) and type(g.n) is int
+        assert g._ends.dtype == np.int64 and g._ends.flags.c_contiguous
 
-    def recording(n, edges):
-        passed.append(edges)
-        return build_graph(n, edges)
 
-    monkeypatch.setattr(trispectra.graph, "build_graph", recording)
-    g = builder(5)
-    assert len(passed) == 1 and iter(passed[0]) is passed[0]
-    assert g == build_graph(g.n, g.edges)
+@pytest.mark.parametrize("builder", _BUILDERS, ids=lambda b: b.__name__)
+def test_builder_sends_no_edge_list_through_build_graph(monkeypatch, builder):
+    # a tuple per edge through build_graph's checks took 3.0 s and 415 MB
+    # for path_graph(2097151) in a fresh process, against 0.07 s and 76 MB
+    def refuse(n, edges):
+        raise RuntimeError("build_graph called")
+
+    monkeypatch.setattr(trispectra.graph, "build_graph", refuse)
+    assert builder(5).n == 5 + (builder is star_graph)
+    with pytest.raises(RuntimeError, match="build_graph called"):
+        complete_graph(1)  # n < 2 keeps build_graph's messages
 
 
 def test_degree_sum_is_2m(small_corpus):
@@ -229,19 +241,32 @@ def test_edge_list_comments_and_errors():
     assert trispectra.EdgeListParseError is EdgeListParseError
 
 
-def test_random_graph_retries_only_disconnected(monkeypatch):
-    """Only a disconnected draw is redrawn; any other error surfaces."""
-    calls = []
+#: SHA-256 of repr([(n, q, edges), ...]) of the acceptance corpus, of the
+#: seed-7 default corpus of ``verify`` and ``run_all``, and of small_corpus,
+#: as the draw through Python tuples and build_graph made them
+_CORPUS_DIGESTS = (
+    "527e12d394ded90785c9446212c60ea6c09bea1fbbbc005729d5a6260f206cc5",
+    "130ad34ea56e912863bce6466973fdadb513a75d63a06a3fcd7dcf33c5a911c3",
+    "21047f2241c2cfd4c68d274a01cbce8716c36995c2f836e9d8d36720e4a03357",
+)
 
-    def reject_first(n, edges):
-        calls.append(n)
-        if len(calls) == 1:
-            raise SelfLoopError("injected")
-        return build_graph(n, edges)
 
-    monkeypatch.setattr(verify, "build_graph", reject_first)
-    with pytest.raises(SelfLoopError, match="injected"):
-        verify.random_connected_graph(np.random.default_rng(0), 6, False)
+def test_corpus_graphs_are_pinned(acceptance_corpus, small_corpus):
+    default = verify.make_corpus(7, 30, 10, 3)
+    for corpus, digest in zip((acceptance_corpus, default, small_corpus), _CORPUS_DIGESTS):
+        edges = repr([(g.n, q, g.edges) for g, q in corpus]).encode()
+        assert hashlib.sha256(edges).hexdigest() == digest
+
+
+@pytest.mark.parametrize("bipartite", [False, True])
+def test_random_graph_is_connected_of_requested_parity(bipartite):
+    # build_graph raises DisconnectedError for a draw that is not connected
+    rng = np.random.default_rng(34)
+    for nmax in (3, 4, 6, 12, 40):
+        for _ in range(20):
+            g = verify.random_connected_graph(rng, nmax, bipartite)
+            assert g == build_graph(g.n, g.edges) and g.n <= nmax
+            assert is_bipartite(g) is bipartite
 
 
 def test_builtin_graphs():
@@ -324,11 +349,13 @@ def test_long_paths_cycles_and_stars_match_networkx():
 @pytest.mark.parametrize("name", ["path:100000", "cycle:100000"])
 def test_long_path_and_cycle_build_in_linear_time(name):
     # the colouring swept every edge once per BFS level, so each of these
-    # took about 30 s; a search takes about 0.1 s
+    # took about 30 s; a search takes about 0.1 s.  The builders colour
+    # nothing, so the colouring is timed with the build
     start = time.perf_counter()
     g = builtin_graph(name)
+    colours = g._colours
     assert time.perf_counter() - start < 2.0
-    assert np.array_equal(g._colours, np.arange(g.n) % 2)
+    assert np.array_equal(colours, np.arange(g.n) % 2)
 
 
 def test_long_path_metrics_refused_fast(capsys):

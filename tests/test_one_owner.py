@@ -23,7 +23,10 @@ there checks q or k.  The CLI keeps no second path: cli.py does no
 arithmetic of its own on the routes (no ``abs`` or ``sum``), takes the
 transfer rows from ``suite_transfer`` and the provenance rows from
 ``TriangulationResult.provenance`` without a per-node loop, and src/ sums
-Foster's edge resistances in ``verify.foster_sum`` alone."""
+Foster's edge resistances in ``verify.foster_sum`` alone.  Graphs the
+package makes are built as endpoint arrays: ``build_graph`` validates edge
+lists from outside, so in src/ only ``parse_edge_list`` calls it, and
+``complete_graph`` for the messages of a size below 2."""
 
 import ast
 from pathlib import Path
@@ -424,3 +427,36 @@ def test_cli_keeps_no_second_path():
     assert found == ["verify.foster_sum"]
     assert not hasattr(verify, "transfer_checks")
     assert not hasattr(triangulation.TriangulationResult, "new_nodes")
+
+
+#: the callers of build_graph in src/: the parser of outside edge lists, and
+#: complete_graph for build_graph's messages at n < 2
+_BUILD_GRAPH_CALLERS = ("graph.parse_edge_list", "graph.complete_graph")
+
+
+def _scan_build_graph(source: str) -> list:
+    """The top-level definitions in ``source``, in order, with a call of
+    build_graph, one entry per call."""
+    return [getattr(top, "name", "<module>") for top in ast.parse(source).body
+            for node in ast.walk(top)
+            if isinstance(node, ast.Call) and _name(node.func) == "build_graph"]
+
+
+def test_build_graph_guard_sees_each_finding():
+    assert _scan_build_graph("def path_graph(n):\n"
+                             "    return build_graph(n, ((i, i + 1) for i in range(1, n)))\n") == [
+        "path_graph",
+    ]
+    assert _scan_build_graph("def draw(rng):\n    try:\n        g = graph.build_graph(n, e)\n"
+                             "    except DisconnectedError:\n        pass\n"
+                             "K2 = build_graph(2, [(1, 2)])\n") == ["draw", "<module>"]
+    assert _scan_build_graph("def path_graph(n):\n    return Graph(n, ends)\n"
+                             "def f(build_graph):\n    return build_graph\n") == []
+
+
+def test_graphs_the_package_makes_skip_build_graph():
+    modules = sorted(Path(trispectra.__file__).parent.glob("*.py"))
+    assert len(modules) >= 10
+    found = [f"{path.stem}.{owner}" for path in modules
+             for owner in _scan_build_graph(path.read_text())]
+    assert sorted(found) == sorted(_BUILD_GRAPH_CALLERS)

@@ -4,6 +4,7 @@ checks its bound before it allocates anything of that size, so every
 input here that is over a bound allocates nothing large."""
 
 import io
+import time
 
 import pytest
 
@@ -101,9 +102,15 @@ def test_each_matrix_view_names_its_size(view, n, size):
      3 * 10**20 + 3, MAX_DENSE_NODES),
     # a raw MemoryError from random_connected_graph's n(n-1)/2 candidate pairs
     (["verify", "--trials", "1", "--nmax", "6000"], "make_corpus", 6000, MAX_DENSE_NODES),
+    # a corpus graph (n = 3871, m = 2,944,697) whose R_q(G) lift_spectrum
+    # refused only after the whole corpus was built: 12.95 s, 819 MB
+    (["verify", "--trials", "1", "--nmax", "4096"], "make_corpus trial 0 at q=1",
+     3871 + 2944697, MAX_DENSE_NODES),
 ], ids=["metrics-star", "spectrum-q1e12", "spectrum-q1e20", "transfer-q1e20",
-        "triangulate-q1e20", "verify-q1e20", "verify-nmax6000"])
+        "triangulate-q1e20", "verify-q1e20", "verify-nmax6000", "verify-nmax4096"])
 def test_oversized_cli_input_exits_2(argv, what, n, bound, capsys):
     out = io.StringIO()
+    start = time.perf_counter()
     assert main(argv, out=out) == 2 and out.getvalue() == ""
+    assert time.perf_counter() - start < 5.0
     assert capsys.readouterr() == ("", f"error: SizeLimitError: {_message(what, n, bound)}\n")

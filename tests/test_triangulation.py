@@ -62,13 +62,15 @@ def test_edge_tuple_is_built_on_first_read():
 
 def test_iterated_webs_are_stored_once():
     # a tuple of Python pairs beside each endpoint array put R_{1,12}(K3)'s
-    # peak at 430 MB (118 MB without, on Linux x86-64); the child is fresh,
-    # so its ru_maxrss is this build's
+    # peak at 430 MB (118 MB without, on Linux x86-64).  The child reads
+    # VmHWM, its own address space's peak: its ru_maxrss also keeps the
+    # peak of the process that spawned it, here the whole test run's
     if sys.platform != "linux":
-        pytest.skip("ru_maxrss is in KiB on Linux only (bytes on macOS)")
-    code = ("import resource; from trispectra import complete_graph, iterate_triangulation; "
+        pytest.skip("VmHWM is read from Linux's /proc/self/status")
+    code = ("from trispectra import complete_graph, iterate_triangulation; "
             "iterate_triangulation(complete_graph(3), 1, 12); "
-            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+            "print(next(l.split()[1] for l in open('/proc/self/status') "
+            "if l.startswith('VmHWM:')))")
     src = str(Path(trispectra.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
