@@ -16,7 +16,8 @@ import sys
 import numpy as np
 
 from . import verify
-from .errors import ConvergenceFailure, EdgeListParseError, TrispectraError
+from .errors import (MAX_NODES, ConvergenceFailure, EdgeListParseError, TrispectraError,
+                     check_q, check_size)
 from .graph import _format_rows, builtin_graph, format_edge_list, parse_edge_list
 from .iterated import PSEUDOFRACTAL_ORDER, pseudofractal_rows
 from .metrics import INDICES, compute_metrics
@@ -148,16 +149,12 @@ def cmd_metrics(args, out) -> int:
 
 def cmd_spectrum(args, out) -> int:
     g = _load_graph(args)
-    spec = eigendecompose(g)
-    if args.q is not None:
-        eigenvalues, branches = lift_eigenvalues(spec, args.q)
-        payload = {"eigenvalues": eigenvalues, "branch": list(branches)}
-    else:
-        payload = {
-            "eigenvalues": spec.eigenvalues,
-            "branch": ["input"] * g.n,
-        }
-    _write_json(payload, out)
+    if args.q is None:
+        eigenvalues, branches = eigendecompose(g).eigenvalues, ["input"] * g.n
+    else:  # an oversized R_q(G) is refused before G is decomposed
+        check_size(g.n + g.m * check_q(args.q), MAX_NODES, "lift_eigenvalues")
+        eigenvalues, branches = lift_eigenvalues(eigendecompose(g), args.q)
+    _write_json({"eigenvalues": eigenvalues, "branch": list(branches)}, out)
     return EXIT_OK
 
 

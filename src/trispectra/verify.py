@@ -167,9 +167,9 @@ def suite_transfer(cases, tol: float):
     indices, and the two intermediary sums."""
     checks = []
     for g, q in cases:
-        summ = transfer.GraphSummary.from_graph(g)
         tri = q_triangulate(g, q)
-        rep = metrics.compute_metrics(tri.result, "oracle")
+        rep = metrics.compute_metrics(tri.result, "oracle")  # refuses an oversized R_q(G) first
+        summ = metrics.compute_metrics(g, "oracle")
         res, n = rep.resistance, g.n
         routes = {"hit": (transfer.transfer_hitting, rep.hitting),
                   "res": (transfer.transfer_resistance, res)}
@@ -209,16 +209,17 @@ def route_checks(g: Graph, spec_rep, oracle_rep) -> list:
 
 
 def suite_identities(cases, tol: float):
-    """Foster's theorem, 2m r = T_ij + T_ji, multiplicative index =
-    2m K, and the kernel-sum identity, on G and on R_q(G).  The
-    kernel-sum check is the worst residual over every generator edge,
-    so it covers every new node of a further q-triangulation."""
+    """Foster's theorem, 2m r = T_ij + T_ji, multiplicative index = 2m K and
+    the kernel-sum identity, on G and on R_q(G), whose spectrum is the lift of
+    G's.  The kernel-sum check is the worst residual over every generator
+    edge, so it covers every new node of a further q-triangulation."""
     checks = []
     for g, q in cases:
-        for tag, graph in (("G", g), ("Rq", q_triangulate(g, q).result)):
+        spec_g = spectral.eigendecompose(g)
+        for tag, spec in (("G", spec_g), ("Rq", spectral.lift_spectrum(spec_g, q))):
+            graph = spec.graph
             rep = metrics.compute_metrics(graph, "oracle")
             hit, res = rep.hitting, rep.resistance
-            spec = spectral.eigendecompose(graph)
             kem = metrics.kemeny(spec)
             pi = graph.stationary_distribution()
             rows = [
@@ -290,5 +291,7 @@ def run_all(seed: int = 7, trials: int = 30, nmax: int = 10, qmax: int = 3):
 
 
 def run_single(g: Graph, q: int):
-    """Run the graph-based suites on a single (graph, q) case."""
-    return _graph_suites([(g, check_q(q))])
+    """Run the graph-based suites on a single (graph, q) case, size-checked as a corpus case is."""
+    q = check_q(q)
+    check_size(g.n + g.m * q, MAX_DENSE_NODES, "lift_spectrum")
+    return _graph_suites([(g, q)])

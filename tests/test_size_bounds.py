@@ -106,8 +106,15 @@ def test_each_matrix_view_names_its_size(view, n, size):
     # refused only after the whole corpus was built: 12.95 s, 819 MB
     (["verify", "--trials", "1", "--nmax", "4096"], "make_corpus trial 0 at q=1",
      3871 + 2944697, MAX_DENSE_NODES),
+    # a G under the dense bound whose R_q(G) is over a bound: each ran the
+    # dense work on G first, for 6-9 s and 660-800 MB on 2 cores, before refusing
+    (["transfer", "--graph", "star:4000", "--q", "1"], "hitting_oracle", 8001, MAX_DENSE_NODES),
+    (["verify", "--graph", "cycle:4000", "--q", "1"], "lift_spectrum", 8000, MAX_DENSE_NODES),
+    (["spectrum", "--graph", "cycle:4000", "--q", "600"], "lift_eigenvalues",
+     4000 + 4000 * 600, MAX_NODES),
 ], ids=["metrics-star", "spectrum-q1e12", "spectrum-q1e20", "transfer-q1e20",
-        "triangulate-q1e20", "verify-q1e20", "verify-nmax6000", "verify-nmax4096"])
+        "triangulate-q1e20", "verify-q1e20", "verify-nmax6000", "verify-nmax4096",
+        "transfer-star4000", "verify-cycle4000", "spectrum-cycle4000-q600"])
 def test_oversized_cli_input_exits_2(argv, what, n, bound, capsys):
     out = io.StringIO()
     start = time.perf_counter()

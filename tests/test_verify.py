@@ -10,13 +10,15 @@ from trispectra.errors import TrispectraError
 from trispectra.graph import is_bipartite
 
 
-def _count(monkeypatch, calls, owner, name):
+def _count(monkeypatch, calls, owner, name, seen=None):
     """Wrap ``owner.name`` in ``owner`` and in every trispectra namespace
-    that binds it."""
+    that binds it; ``seen``, if given, collects each call's first argument."""
     original = getattr(owner, name)
 
     def counted(*args, **kwargs):
         calls[name] += 1
+        if seen is not None:
+            seen.append(args[0])
         return original(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, counted)
@@ -27,16 +29,19 @@ def _count(monkeypatch, calls, owner, name):
 
 @pytest.mark.parametrize("bipartite", [True, False], ids=["bipartite", "non-bipartite"])
 def test_graph_suites_do_only_the_dense_work_they_read(monkeypatch, acceptance_corpus, bipartite):
-    # one spectrum of G for the lift and one each of G and R_q(G) for the
-    # identities; R_q(G) is built without build_graph; no SVD runs, and
-    # the only kernels are kernel_basis's two QRs, in the lift
+    # one spectrum of G for each of the lift suite and the identity suite,
+    # and none of R_q(G), whose spectrum both suites lift from G's (the lift
+    # suite's eigvalsh is its only decomposition); R_q(G) is built without
+    # build_graph; no SVD runs, and the only kernels are kernel_basis's two
+    # QRs in each lift
     case = next(c for c in acceptance_corpus if is_bipartite(c[0]) == bipartite)
-    calls = Counter()
+    calls, decomposed = Counter(), []
     names = ("eigendecompose", "build_graph", "_qr_kernel", "svd")
     for owner, name in zip((spectral, graph, spectral, np.linalg), names):
-        _count(monkeypatch, calls, owner, name)
+        _count(monkeypatch, calls, owner, name, decomposed if name == "eigendecompose" else None)
     assert all(r.passed for r in verify.run_single(*case))
-    assert [calls[name] for name in names] == [3, 0, 2, 0]
+    assert [calls[name] for name in names] == [2, 0, 4, 0]
+    assert decomposed == [case[0]] * 2
 
 
 @pytest.mark.parametrize("trials, nmax", [(2.5, 5), (True, 5), (5, 4.5)],
