@@ -43,7 +43,7 @@ class InvalidQError(TrispectraError):
 
 def is_integer(x) -> bool:
     """True iff x is an integer (numpy integers included) and not a bool."""
-    return isinstance(x, Integral) and not isinstance(x, bool)
+    return type(x) is int or isinstance(x, Integral) and not isinstance(x, bool)
 
 
 def check_q(q) -> int:

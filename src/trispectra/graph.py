@@ -82,14 +82,14 @@ class Graph:
         each node not reached.  Depth parity is distance parity only on a
         bipartite graph; on any other only the reach flags mean anything."""
         ends = self._ends.ravel()
-        near = ends[np.argsort(ends, kind="stable") ^ 1]  # neighbours, grouped by node
-        bounds = np.concatenate(([0], np.cumsum(np.bincount(ends, minlength=self.n))))
+        near = memoryview(ends[np.argsort(ends, kind="stable") ^ 1])  # neighbours, by node
+        bounds = memoryview(np.concatenate(([0], np.cumsum(np.bincount(ends, minlength=self.n)))))
         colours = bytearray(b"\xff") * self.n  # 0xff, read as int8: -1, not reached
         colours[0] = 0
         stack = [0]
         while stack:
             x = stack.pop()
-            for y in near[bounds[x] : bounds[x + 1]].tolist():
+            for y in near[bounds[x] : bounds[x + 1]]:
                 if colours[y] == 0xFF:
                     colours[y] = 1 - colours[x]
                     stack.append(y)
@@ -97,14 +97,19 @@ class Graph:
 
     # ---- matrix views -------------------------------------------------
 
-    def adjacency_matrix(self) -> np.ndarray:
-        """Dense n x n 0/1 adjacency matrix (integer); SizeLimitError
-        unless n <= MAX_DENSE_NODES."""
+    def _dense(self, forward, backward, diagonal=0.0, dtype=float) -> np.ndarray:
+        """The dense n x n views' one builder: ``diagonal``, ``forward`` at (i, j) and
+        ``backward`` at (j, i) for edge i < j, else 0; SizeLimitError past MAX_DENSE_NODES."""
         check_size(self.n, MAX_DENSE_NODES, "adjacency_matrix")
-        a = np.zeros((self.n, self.n), dtype=np.int64)
-        a[self._ends[:, 0], self._ends[:, 1]] = 1
-        a[self._ends[:, 1], self._ends[:, 0]] = 1
+        a = np.zeros((self.n, self.n), dtype)
+        a.ravel()[:: self.n + 1] = diagonal
+        i, j = self._ends.T
+        a[i, j], a[j, i] = forward, backward
         return a
+
+    def adjacency_matrix(self) -> np.ndarray:
+        """Dense n x n 0/1 adjacency matrix (integer)."""
+        return self._dense(1, 1, 0, np.int64)
 
     def incidence_matrix(self) -> np.ndarray:
         """n x m incidence matrix B; B[i-1, e-1] = 1 iff node i lies on edge e.
@@ -119,12 +124,12 @@ class Graph:
 
     def transition_matrix(self) -> np.ndarray:
         """Random-walk transition matrix T = D^{-1} A; rows sum to 1."""
-        return self.adjacency_matrix() / self.degrees[:, None]
+        return self._dense(*(1 / self.degrees)[self._ends.T])
 
     def normalized_adjacency(self) -> np.ndarray:
         """P = D^{-1/2} A D^{-1/2}; symmetric, entries A_ij / sqrt(d_i d_j)."""
-        inv_sqrt = 1.0 / np.sqrt(self.degrees)
-        return self.adjacency_matrix() * np.outer(inv_sqrt, inv_sqrt)
+        p = (1.0 / np.sqrt(self.degrees))[self._ends.T].prod(axis=0)
+        return self._dense(p, p)
 
     def stationary_distribution(self) -> np.ndarray:
         """pi_i = d_i / 2m, the stationary law of the unbiased walk."""

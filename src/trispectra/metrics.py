@@ -71,10 +71,13 @@ class GraphSummary:
         g = self.graph
         if g is not None and not (isinstance(g, Graph) and (g.n, g.m) == (n, m)):
             raise GraphError(f"graph must be a Graph with n = {n} and m = {m}")
-        for name in ("hitting", "resistance"):
-            matrix = getattr(self, name)
-            if matrix is not None and getattr(matrix, "shape", None) != (n, n):
-                raise GraphError(f"{name} must be an {n} x {n} numpy array")
+        self._check_shape("hitting", self.hitting, n)
+        self._check_shape("resistance", self.resistance, n)
+
+    @staticmethod
+    def _check_shape(name: str, matrix, n: int) -> None:
+        if matrix is not None and getattr(matrix, "shape", None) != (n, n):
+            raise GraphError(f"{name} must be an {n} x {n} numpy array")
 
     @classmethod
     def from_graph(cls, g: Graph, with_matrices: bool = True) -> "GraphSummary":
@@ -93,9 +96,9 @@ def hitting_oracle(g: Graph) -> np.ndarray:
     Snell, Finite Markov Chains, 1960).  One inverse for all targets."""
     check_size(g.n, MAX_DENSE_NODES, "hitting_oracle")
     pi = g.stationary_distribution()
-    a = np.eye(g.n) - g.transition_matrix() + pi[None, :]
+    a = g._dense(*(-1 / g.degrees)[g._ends.T], 1.0) + pi  # I - T, then + 1 pi^T
     z = _gated_inverse(a, 0.0, "fundamental matrix Z")
-    return (np.diag(z)[None, :] - z) / pi[None, :]
+    return np.divide(np.subtract(z.diagonal().copy(), z, out=z), pi, out=z)
 
 
 def resistance_oracle(g: Graph) -> np.ndarray:
@@ -103,12 +106,12 @@ def resistance_oracle(g: Graph) -> np.ndarray:
     r_ij = (e_i - e_j)^T L^+ (e_i - e_j), with L^+ = (L + J/n)^{-1} - J/n
     (L + J/n is regular on a connected graph)."""
     check_size(g.n, MAX_DENSE_NODES, "resistance_oracle")
-    lap = (np.diag(g.degrees) - g.adjacency_matrix()).astype(float)
+    lap = g._dense(-1.0, -1.0, g.degrees)
     lp = _gated_inverse(lap, 1.0 / g.n, "Laplacian pseudoinverse L^+")
-    diag = np.diag(lp)
-    r = diag[:, None] + diag[None, :] - 2.0 * lp
-    np.fill_diagonal(r, 0.0)
-    return 0.5 * (r + r.T)
+    diag = lp.diagonal()
+    r = np.add.outer(diag, diag) - 2.0 * lp
+    r.ravel()[:: g.n + 1] = 0.0
+    return np.multiply(0.5, r + r.T, out=lp)
 
 
 # ---- spectral route ---------------------------------------------------
@@ -138,7 +141,7 @@ def hitting_spectral_matrix(spec: Spectrum) -> np.ndarray:
 
 def kemeny(spec: Spectrum) -> float:
     """Kemeny's constant sum_{k>=2} 1/(1 - lambda_k)."""
-    return float(np.sum(1.0 / (1.0 - spec.eigenvalues[1:])))
+    return float((1.0 / (1.0 - spec.eigenvalues[1:])).sum())
 
 
 def resistance_spectral_matrix(spec: Spectrum) -> np.ndarray:
@@ -153,14 +156,15 @@ def resistance_spectral_matrix(spec: Spectrum) -> np.ndarray:
 
 
 def kirchhoff_indices(g: Graph, resistance: np.ndarray):
-    """(plain, additive, multiplicative) Kirchhoff indices from a
-    resistance matrix; sums run over unordered node pairs."""
+    """(plain, additive, multiplicative) Kirchhoff indices from an n x n
+    resistance matrix (else GraphError); sums run over unordered node pairs."""
+    GraphSummary._check_shape("resistance", resistance, g.n)
+    upper = np.less.outer(*[np.arange(g.n)] * 2)
+    r = resistance[upper]
     d = g.degrees.astype(float)
-    iu = np.triu_indices(g.n, k=1)
-    r = resistance[iu]
-    plain = float(np.sum(r))
-    additive = float(np.sum((d[iu[0]] + d[iu[1]]) * r))
-    multiplicative = float(np.sum(d[iu[0]] * d[iu[1]] * r))
+    plain = float(r.sum())
+    additive = float((np.add.outer(d, d)[upper] * r).sum())
+    multiplicative = float((np.multiply.outer(d, d)[upper] * r).sum())
     return plain, additive, multiplicative
 
 

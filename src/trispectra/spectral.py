@@ -39,7 +39,9 @@ def _gated_inverse(m: np.ndarray, kk, what: str) -> np.ndarray:
         result = np.linalg.inv(m + kk) - kk
     except np.linalg.LinAlgError:
         result = np.full((n, n), np.nan)
-    _gate(np.abs(m @ result - (np.eye(n) - kk)).max(), _RESIDUAL * n, what)
+    check = m @ result + kk  # the identity comes off the diagonal alone
+    check.ravel()[:: n + 1] -= 1.0
+    _gate(np.abs(check, out=check).max(), _RESIDUAL * n, what)
     return result
 
 
@@ -59,10 +61,9 @@ class Spectrum:
 
 
 def _fix_signs(vecs: np.ndarray) -> np.ndarray:
-    """Make the first entry of magnitude > 1e-8 positive in each column."""
-    big = np.abs(vecs) > 1e-8
-    lead = vecs[np.argmax(big, axis=0), np.arange(vecs.shape[1])]
-    return np.where(big.any(axis=0) & (lead < 0), -vecs, vecs)
+    """Make the first entry of magnitude > 1e-8 positive in each column, in place."""
+    lead = vecs[(np.abs(vecs) > 1e-8).argmax(axis=0), np.arange(vecs.shape[1])]
+    return np.negative(vecs, out=vecs, where=lead < -1e-8)  # no such entry: |lead| <= 1e-8
 
 
 def eigendecompose(g: Graph) -> Spectrum:
@@ -70,10 +71,10 @@ def eigendecompose(g: Graph) -> Spectrum:
     check_size(g.n, MAX_DENSE_NODES, "eigendecompose")
     p = g.normalized_adjacency()
     vals, vecs = np.linalg.eigh(p)
-    order = np.argsort(-vals, kind="stable")
+    order = (-vals).argsort(kind="stable")
     vals = vals[order]
     vecs = _fix_signs(vecs[:, order])
-    residual = np.linalg.norm(p @ vecs - vecs * vals, axis=0).max()
+    residual = np.sqrt(np.square(p @ vecs - vecs * vals).sum(axis=0)).max()
     _gate(residual, _RESIDUAL * g.n, "eigendecomposition of P")
     vals.setflags(write=False)
     vecs.setflags(write=False)
@@ -92,21 +93,22 @@ def _qr_kernel(a: np.ndarray, rank: int) -> np.ndarray:
 def kernel_basis(g: Graph, q: int) -> np.ndarray:
     """Orthonormal basis of ker(C), C = q horizontal copies of B.
 
-    C = 1_q^T (x) B, so ker C = (ker 1_q^T (x) I_m) + (1_q/sqrt(q) (x) ker B).
-    Rank B is n - [G bipartite] and both kernels come from a QR.  Returns
-    an (m*q) x (m*q - rank B) matrix whose columns y satisfy
-    ||C y|| = sqrt(q) ||B N|| <= 1e-10, N the basis of ker B.  The
-    dense bound applies to R_q(G)'s n + mq nodes.
+    C = 1_q^T (x) B, so ker C = (ker 1_q^T (x) I_m) + (1_q/sqrt(q) (x) ker B), two
+    blocks written in place.  Rank B is n - [G bipartite] and both kernels come from
+    a QR.  Returns an (m*q) x (m*q - rank B) matrix whose columns y satisfy ||C y|| =
+    sqrt(q) ||B N|| <= 1e-10, N the basis of ker B.  The dense bound applies to
+    R_q(G)'s n + mq nodes.
     """
-    q = check_q(q)
-    check_size(g.n + g.m * q, MAX_DENSE_NODES, "kernel_basis")
+    q, m = check_q(q), g.m
+    check_size(g.n + m * q, MAX_DENSE_NODES, "kernel_basis")
     b = g.incidence_matrix().astype(float)
     null_b = _qr_kernel(b, g.n - is_bipartite(g))
-    _gate(np.sqrt(q) * np.linalg.norm(b @ null_b, axis=0).max(initial=0.0), 1e-10, "ker B")
-    return np.hstack([
-        np.kron(_qr_kernel(np.ones((1, q)), 1), np.eye(g.m)),
-        np.kron(np.full((q, 1), 1.0 / np.sqrt(q)), null_b),
-    ])
+    _gate(np.sqrt(q) * np.sqrt(np.square(b @ null_b).sum(axis=0)).max(initial=0.0), 1e-10, "ker B")
+    basis = np.zeros((m * q, m * (q - 1) + null_b.shape[1]))
+    ker_ones = _qr_kernel(np.ones((1, q)), 1)  # ker(1_q^T)[a, c] on the diagonal of block (a, c)
+    basis[:, : m * (q - 1)].reshape(q, m, q - 1, m)[:, range(m), :, range(m)] = ker_ones
+    basis[:, m * (q - 1) :].reshape(q, m, -1)[:] = 1.0 / np.sqrt(q) * null_b
+    return basis
 
 
 def _lifted_values(eigenvalues, n: int, m: int, bipartite: bool, q: int):
@@ -133,10 +135,10 @@ def _lifted_values(eigenvalues, n: int, m: int, bipartite: bool, q: int):
                            np.full(n - rank, -1.0 / (q + 1))])
     branches = (["plus"] * rank + ["minus"] * rank + ["zero"] * zeros
                 + ["bipartite-special"] * (n - rank))
-    order = np.argsort(-vals, kind="stable")
+    order = (-vals).argsort(kind="stable")
     vals = vals[order]
     vals.setflags(write=False)
-    return vals, tuple(branches[k] for k in order), order, numer, sqrt_delta
+    return vals, tuple(map(branches.__getitem__, order.tolist())), order, numer, sqrt_delta
 
 
 def lift_eigenvalues(spec: Spectrum, q: int) -> tuple[np.ndarray, tuple]:
@@ -175,18 +177,19 @@ def lift_spectrum(spec: Spectrum, q: int) -> Spectrum:
     vals, _, order, numer, sqrt_delta = _lifted_values(spec.eigenvalues, n, m, bipartite, q)
 
     lam = spec.eigenvalues[:rank]
-    v, leftover = np.hsplit(spec.eigenvectors, [rank])
+    v = spec.eigenvectors[:, :rank]
     w = (g.incidence_matrix().T / np.sqrt(g.degrees)[None, :]) @ v
-    cols = []  # in _lifted_values's column layout
-    for sign, denom in zip((1.0, -1.0), numer):
+    at = order.argsort()  # each column of _lifted_values's layout goes to its sorted place
+    mat = np.zeros((n + m * q,) * 2, order="F")  # the layout of eigh's eigenvectors
+    for sign, denom, cols in zip((1.0, -1.0), numer, (at[:rank], at[rank : 2 * rank])):
         new_block = (np.sqrt(2.0 * (q + 1)) / denom) * w
         scale = np.sqrt(0.5 + sign * lam / (2.0 * sqrt_delta))
-        cols.append(scale * np.vstack([v] + [new_block] * q))
-    cols.append(np.vstack([np.zeros((n, m * q - rank)), kernel_basis(g, q)]))
-    cols.append(np.vstack([leftover, np.zeros((m * q, n - rank))]))
+        mat[:n, cols] = scale * v
+        mat[n:].reshape(q, m, -1)[:, :, cols] = scale * new_block
+    mat[n:, at[2 * rank : rank + m * q]] = kernel_basis(g, q)
+    mat[:n, at[rank + m * q :]] = spec.eigenvectors[:, rank:]
 
-    mat = _fix_signs(np.hstack(cols)[:, order])
-    mat.setflags(write=False)
+    _fix_signs(mat).setflags(write=False)
     return Spectrum(eigenvalues=vals, eigenvectors=mat, graph=q_triangulate(g, q).result)
 
 
@@ -210,10 +213,10 @@ def kernel_sum_residual(spec: Spectrum, q: int) -> np.ndarray:
     q, g = check_q(q), spec.graph
     bipartite = is_bipartite(g)
     z = (1.0 - 2.0 * g._colours) / np.sqrt(g.n) * bipartite
-    signless = (g.adjacency_matrix() + np.diag(g.degrees)).astype(float)
+    signless = g._dense(1.0, 1.0, g.degrees)
     pinv = _gated_inverse(signless, np.outer(z, z), "signless Laplacian pseudoinverse Q^+")
     s, t = g._ends.T
-    lhs = 1.0 - (pinv[s, s] + pinv[t, t] + 2.0 * pinv[s, t]) / q
+    lhs = 1.0 - (pinv.diagonal()[s] + pinv.diagonal()[t] + 2.0 * pinv[s, t]) / q
 
     upper = g.n - bipartite
     scaled = spec.eigenvectors[:, 1:upper] / np.sqrt(g.degrees)[:, None]

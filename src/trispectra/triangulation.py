@@ -64,20 +64,22 @@ def new_node_generator(n: int, m: int, q: int, x) -> tuple:
 def q_triangulate(g: Graph, q: int) -> TriangulationResult:
     """Construct R_q(G).
 
-    The endpoint array of R_q(G) comes straight from G's: G's edges,
-    then (s, x) and (t, x) for each new node x of edge {s, t}, lexsorted;
-    no edge tuple is built.  R_q(G) of a valid G is simple and connected,
-    so build_graph's per-edge validation is skipped.  R_q(G)'s n + mq nodes
-    must lie within the array bound ``errors.MAX_NODES``.
+    The endpoint array of R_q(G) comes straight from G's: G's edges, then
+    (s, x) and (t, x) for each new node x of edge {s, t} in node order; a
+    stable sort by first endpoint orders them as pairs, old nodes coming
+    before new.  No edge tuple is built.  R_q(G) of a valid G is simple and
+    connected, so build_graph's per-edge validation is skipped.  Its
+    n + mq nodes must lie within the array bound ``errors.MAX_NODES``.
     """
     q = check_q(q)
     n, m = g.n, g.m
     check_size(n + m * q, MAX_NODES, "q_triangulate")
     # copy f of edge e is node n + (f-1)m + e: copies of G's edge list in turn
-    new = np.arange(n, n + m * q)
-    s, t = np.tile(g._ends.T, q)
-    ends = np.concatenate([g._ends, np.column_stack((s, new)), np.column_stack((t, new))])
-    ends = ends[np.lexsort(ends.T[::-1])]
+    ends = np.empty((m * (2 * q + 1), 2), np.int64)
+    ends[:m] = g._ends
+    new = ends[m:].reshape(q, m, 2, 2)  # (copy, edge, s or t, endpoint)
+    new[..., 0], new[..., 1] = g._ends, np.arange(n, n + m * q).reshape(q, m, 1)
+    ends = ends[ends[:, 0].argsort(kind="stable")]
     return TriangulationResult(result=Graph(n=n + m * q, _ends=ends), base=g, q=q)
 
 

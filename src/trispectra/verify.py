@@ -153,7 +153,7 @@ def suite_spectrum_lift(cases, tol_eig: float, tol_resid: float):
         p = r.normalized_adjacency()
         gap = np.abs(np.sort(lifted.eigenvalues) - np.linalg.eigvalsh(p)).max()
         u = lifted.eigenvectors
-        resid = np.linalg.norm(p @ u - u * lifted.eigenvalues, axis=0).max()
+        resid = np.sqrt(np.square(p @ u - u * lifted.eigenvalues).sum(axis=0)).max()
         checks += [
             Check("eigenvalue multiset", gap, 0.0, (g, q)),
             Check("eigenvector residual", resid / (tol_resid * r.n) * tol_eig, 0.0, (g, q)),
@@ -199,7 +199,8 @@ def suite_transfer(cases, tol: float):
 
 def foster_sum(g: Graph, resistance) -> float:
     """r summed over g's edges (n - 1 by Foster) as numpy floats, left to right in edge order."""
-    return sum(resistance[tuple(g._ends.T)])
+    metrics.GraphSummary._check_shape("resistance", resistance, g.n)
+    return np.add.accumulate(resistance[tuple(g._ends.T)])[-1]
 
 
 def route_checks(g: Graph, spec_rep, oracle_rep) -> list:

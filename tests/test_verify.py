@@ -33,15 +33,26 @@ def test_graph_suites_do_only_the_dense_work_they_read(monkeypatch, acceptance_c
     # and none of R_q(G), whose spectrum both suites lift from G's (the lift
     # suite's eigvalsh is its only decomposition); R_q(G) is built without
     # build_graph; no SVD runs, and the only kernels are kernel_basis's two
-    # QRs in each lift
+    # QRs in each lift.  Five inverses on each of G and R_q(G): both oracles
+    # in the transfer suite and in the identity suite, and the kernel sum's
+    # Q^+.  The dense matrices are built in place from the endpoint array,
+    # with no Kronecker product and no triangle index, and no graph keeps a
+    # matrix: a Graph holds n, its endpoint array and their cached views
     case = next(c for c in acceptance_corpus if is_bipartite(c[0]) == bipartite)
-    calls, decomposed = Counter(), []
-    names = ("eigendecompose", "build_graph", "_qr_kernel", "svd")
-    for owner, name in zip((spectral, graph, spectral, np.linalg), names):
-        _count(monkeypatch, calls, owner, name, decomposed if name == "eigendecompose" else None)
+    calls, seen = Counter(), {"eigendecompose": [], "inv": [], "compute_metrics": []}
+    names = ("eigendecompose", "build_graph", "_qr_kernel", "svd", "inv", "kron", "triu_indices",
+             "compute_metrics")
+    owners = (spectral, graph, spectral, np.linalg, np.linalg, np, np, metrics)
+    for owner, name in zip(owners, names):
+        _count(monkeypatch, calls, owner, name, seen.get(name))
     assert all(r.passed for r in verify.run_single(*case))
-    assert [calls[name] for name in names] == [2, 0, 4, 0]
-    assert decomposed == [case[0]] * 2
+    assert [calls[name] for name in names] == [2, 0, 4, 0, 10, 0, 0, 4]
+    g, q = case
+    assert seen["eigendecompose"] == [g] * 2
+    assert sorted(len(m) for m in seen["inv"]) == [g.n] * 5 + [g.n + g.m * q] * 5
+    assert sorted(x.n for x in seen["compute_metrics"]) == [g.n] * 2 + [g.n + g.m * q] * 2
+    for x in seen["compute_metrics"]:
+        assert set(vars(x)) <= {"n", "_ends", "edges", "degrees", "_colours"}
 
 
 @pytest.mark.parametrize("trials, nmax", [(2.5, 5), (True, 5), (5, 4.5)],
